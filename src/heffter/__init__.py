@@ -12,7 +12,7 @@ from .grid import (
 )
 from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid, write_grid
 from .h3 import NoArrayFound, build_h3_base, cyclic_shift, relocate_h3
-from .merge import MergeParams, NoParameters, build_h4p3, select_shift
+from .merge import MergeParams, NoParameters, build_h4p3
 from .shifted import NoValidAlpha, build_shifted, choose_alpha
 from .verify import (
     Check,
@@ -56,7 +56,6 @@ __all__ = [
     "cyclic_shift",
     "NoArrayFound",
     "build_h4p3",
-    "select_shift",
     "MergeParams",
     "NoParameters",
 ]

@@ -2,7 +2,9 @@
 
 Subcommands: construct, verify, partial-sums, decompose, orthogonality,
 compatibility.  Exit codes: 0 all checks pass, 1 a property check failed,
-2 usage or input errors.  Identical invocations print identical output.
+2 usage or input errors, 3 construction found no array (the H(n;3) search
+ran out of budget, or no merge parameters verified).  Identical invocations
+print identical output.
 
 The h3 and h4p3 families run a backtracking search; its node budget can be
 overridden with the HEFFTER_SEARCH_BUDGET environment variable.
@@ -29,6 +31,7 @@ from .verify import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_NO_ARRAY = 3
 
 
 class _UsageError(Exception):
@@ -66,6 +69,26 @@ def _default_modulus(grid: HeffterGrid) -> int:
     return 2 * grid.n * counts[0] + 1
 
 
+def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | None = None,
+                  modulus: int | None = None, p: int | None = None,
+                  gamma: int | None = None) -> VerificationReport:
+    """Every check up to ``level``, the ladder shared by construct and verify.
+
+    ``modulus`` goes to the top check only: the line sums at level heffter and
+    the partial sums at level globally-simple; level integer ignores it.
+    """
+    if level == "support-shifted":
+        if p is None or gamma is None:
+            raise _UsageError("--p and --gamma are required at level support-shifted")
+        return verify_support_shifted(grid, p, gamma)
+    report = verify_heffter(grid, s, t, modulus if level == "heffter" else None)
+    if level != "heffter":
+        report.extend(verify_integer(grid))
+    if level == "globally-simple":
+        report.extend(verify_globally_simple(grid, modulus))
+    return report
+
+
 # -- construct -----------------------------------------------------------
 
 
@@ -99,13 +122,9 @@ def cmd_construct(args) -> int:
         raise _UsageError(f"unknown family {args.family}")
 
     if not args.unchecked:
-        if args.family == "shifted":
-            report = verify_support_shifted(grid, args.p, params["gamma"])
-        else:
-            k = params["k"]
-            report = verify_heffter(grid, k, k)
-            report.extend(verify_integer(grid))
-            report.extend(verify_globally_simple(grid, params["M"]))
+        level = "support-shifted" if args.family == "shifted" else "globally-simple"
+        report = _verify_level(grid, level, params["k"], params["k"], params["M"],
+                               args.p, params.get("gamma"))
         if not report.overall:
             print(report.to_text(), end="", file=sys.stderr)
             print("refusing to write unverified array", file=sys.stderr)
@@ -133,19 +152,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     grid = _load_grid(args.path)
     try:
-        if args.level == "heffter":
-            report = verify_heffter(grid, args.s, args.t, args.modulus)
-        elif args.level == "integer":
-            report = verify_heffter(grid, args.s, args.t)
-            report.extend(verify_integer(grid))
-        elif args.level == "globally-simple":
-            report = verify_heffter(grid, args.s, args.t)
-            report.extend(verify_integer(grid))
-            report.extend(verify_globally_simple(grid, args.modulus))
-        else:  # support-shifted
-            if args.p is None or args.gamma is None:
-                raise _UsageError("--p and --gamma are required at level support-shifted")
-            report = verify_support_shifted(grid, args.p, args.gamma)
+        report = _verify_level(grid, args.level, args.s, args.t, args.modulus,
+                               args.p, args.gamma)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return _emit_report(report, args.json)
@@ -193,8 +201,8 @@ def cmd_decompose(args) -> int:
         print("refusing to decompose: grid is not simple", file=sys.stderr)
         return EXIT_FAIL
     try:
-        rows = decompose.rows_system(grid, modulus)
-        cols = decompose.cols_system(grid, modulus)
+        rows = decompose.line_system(grid, "row", modulus)
+        cols = decompose.line_system(grid, "col", modulus)
     except (decompose.NotSimple, decompose.NotADecomposition) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -308,9 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (h3.NoArrayFound, merge.NoParameters) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_ARRAY
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .grid import HeffterGrid, partial_sums
+from .grid import HeffterGrid, natural_order, partial_sums
 
 Edge = tuple[int, int]
 
@@ -109,17 +109,10 @@ def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CycleSystem:
     return CycleSystem(modulus, k, cycles, edge_index)
 
 
-def rows_system(grid: HeffterGrid, modulus: int, order=None) -> CycleSystem:
-    from .grid import natural_order
-    order = order or natural_order
-    bases = [base_cycle(grid, "row", a, order(grid, "row", a), modulus) for a in range(grid.m)]
-    return develop(bases, modulus)
-
-
-def cols_system(grid: HeffterGrid, modulus: int, order=None) -> CycleSystem:
-    from .grid import natural_order
-    order = order or natural_order
-    bases = [base_cycle(grid, "col", a, order(grid, "col", a), modulus) for a in range(grid.n)]
+def line_system(grid: HeffterGrid, kind: str, modulus: int, order=natural_order) -> CycleSystem:
+    """Develop the base cycles of every row (kind "row") or every column (kind "col")."""
+    count = grid.m if kind == "row" else grid.n
+    bases = [base_cycle(grid, kind, a, order(grid, kind, a), modulus) for a in range(count)]
     return develop(bases, modulus)
 
 

@@ -26,22 +26,37 @@ class HeffterGrid:
     """Immutable partially filled integer matrix.
 
     ``entries`` maps (row, col) to a nonzero integer.  Empty cells are simply
-    absent from the mapping; an empty cell contributes 0 to any sum.
+    absent from the mapping; an empty cell contributes 0 to any sum.  The
+    filled cells of each row (by increasing column) and of each column (by
+    increasing row) are indexed once at construction, so a line query costs
+    time proportional to the line's fills, not to the whole grid.
     """
 
     m: int
     n: int
     entries: Mapping[Cell, int]
+    _rows: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False, compare=False)
+    _cols: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.m <= 0 or self.n <= 0:
+        m, n = self.m, self.n
+        if m <= 0 or n <= 0:
             raise ValueError("grid dimensions must be positive")
-        for (i, j), e in self.entries.items():
+        rows: list[list[Cell]] = [[] for _ in range(m)]
+        cols: list[list[Cell]] = [[] for _ in range(n)]
+        for cell, e in self.entries.items():
+            i, j = cell
             if e == 0:
                 raise ValueError(f"cell ({i},{j}) holds 0; empty cells must be absent")
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValueError(f"cell ({i},{j}) outside {self.m}x{self.n} grid")
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"cell ({i},{j}) outside {m}x{n} grid")
+            rows[i].append(cell)
+            cols[j].append(cell)
+        for line in rows + cols:
+            line.sort()
         object.__setattr__(self, "entries", dict(self.entries))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_cols", tuple(map(tuple, cols)))
 
     # -- basic queries ---------------------------------------------------
 
@@ -55,41 +70,27 @@ class HeffterGrid:
     def entry_or_zero(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def row_cells(self, a: int) -> list[Cell]:
-        """Filled cells of row a, by increasing column."""
-        self._check_line("row", a)
-        return sorted((c for c in self.entries if c[0] == a), key=lambda c: c[1])
-
-    def col_cells(self, a: int) -> list[Cell]:
-        """Filled cells of column a, by increasing row."""
-        self._check_line("col", a)
-        return sorted((c for c in self.entries if c[1] == a), key=lambda c: c[0])
+    def _line(self, kind: LineKind, a: int) -> tuple[Cell, ...]:
+        lines = self._rows if kind == "row" else self._cols
+        # a negative index would silently wrap around
+        if not 0 <= a < len(lines):
+            raise ValueError(f"{kind} index {a} out of range")
+        return lines[a]
 
     def line_cells(self, kind: LineKind, a: int) -> list[Cell]:
-        return self.row_cells(a) if kind == "row" else self.col_cells(a)
-
-    def _check_line(self, kind: LineKind, a: int) -> None:
-        bound = self.m if kind == "row" else self.n
-        if not 0 <= a < bound:
-            raise ValueError(f"{kind} index {a} out of range")
+        """Filled cells of row a by increasing column, or of column a by increasing row."""
+        return list(self._line(kind, a))
 
     def fills_per_row(self) -> list[int]:
-        counts = [0] * self.m
-        for i, _ in self.entries:
-            counts[i] += 1
-        return counts
+        return [len(line) for line in self._rows]
 
     def fills_per_col(self) -> list[int]:
-        counts = [0] * self.n
-        for _, j in self.entries:
-            counts[j] += 1
-        return counts
+        return [len(line) for line in self._cols]
 
     def line_sum(self, kind: LineKind, a: int) -> int:
         """Exact integer sum of the filled entries on one row or column."""
-        self._check_line(kind, a)
-        axis = 0 if kind == "row" else 1
-        return sum(e for c, e in self.entries.items() if c[axis] == a)
+        entries = self.entries
+        return sum(entries[c] for c in self._line(kind, a))
 
     def support(self) -> tuple[set[int], list[int]]:
         """Absolute values of all entries, plus the values x with both +x and -x present."""
@@ -134,12 +135,7 @@ def diagonal_order(grid: HeffterGrid, kind: LineKind, a: int) -> list[Cell]:
     if not grid.is_square:
         raise ValueError("diagonal order is defined for square grids only")
     n = grid.n
-    cells = []
-    for d in range(n):
-        cell = (a, (a - d) % n) if kind == "row" else ((a + d) % n, a)
-        if cell in grid.entries:
-            cells.append(cell)
-    return cells
+    return sorted(grid.line_cells(kind, a), key=lambda c: (c[0] - c[1]) % n)
 
 
 # -- partial sums --------------------------------------------------------

@@ -2,7 +2,7 @@
 
 First line ``#heffter m=<m> n=<n> s=<s> t=<t>``, then m lines of n
 comma-separated fields.  An empty field is an empty cell; filled fields are
-optionally-signed decimal integers.  Writing then reading a grid is the
+optionally-signed ASCII decimal integers.  Writing then reading a grid is the
 identity, and the written form is canonical (no spaces, newline-terminated).
 """
 
@@ -24,6 +24,8 @@ class GridParseError(ValueError):
 
 
 _HEADER = re.compile(r"#heffter m=(\d+) n=(\d+) s=(\d+) t=(\d+)\s*$")
+# int() would also take "1_0" and non-ASCII digits
+_ENTRY = re.compile(r"[+-]?[0-9]+")
 
 
 def grid_to_text(grid: HeffterGrid) -> str:
@@ -61,10 +63,9 @@ def grid_from_text(text: str) -> HeffterGrid:
             f = f.strip()
             if not f:
                 continue
-            try:
-                entries[(i, j)] = int(f)
-            except ValueError:
-                raise GridParseError(f"bad entry {f!r}", line=i + 2, column=j + 1) from None
+            if not _ENTRY.fullmatch(f):
+                raise GridParseError(f"bad entry {f!r}", line=i + 2, column=j + 1)
+            entries[(i, j)] = int(f)
     return HeffterGrid(m, n, entries)
 
 

@@ -19,6 +19,7 @@ output for a given n is reproducible.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 
@@ -182,8 +183,6 @@ def relocate_h3(base: HeffterGrid, beta: int, eps: int) -> HeffterGrid:
     being an H(n;3).  D_{n-1} lands on D_beta, D_0 on D_{beta+eps} and D_1
     on D_{beta+2eps}.
     """
-    import math
-
     n = base.n
     if not base.is_square:
         raise ValueError("relocation is defined for square grids")

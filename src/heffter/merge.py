@@ -13,14 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .construct4p import UnsupportedParameters
 from .grid import HeffterGrid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .shifted import build_shifted
 from .verify import verify_globally_simple, verify_heffter, verify_integer
-
-
-class UnsupportedParameters(ValueError):
-    pass
 
 
 class NoParameters(RuntimeError):
@@ -36,14 +33,6 @@ class MergeParams:
     beta: int
     shift: int
     modulus: int
-
-
-def coprime_scan(n: int, lo: int, hi: int) -> int | None:
-    """Smallest value in [lo, hi] coprime to n, or None."""
-    for v in range(lo, hi + 1):
-        if math.gcd(n, v) == 1:
-            return v
-    return None
 
 
 def _forbidden_values(n: int, p: int) -> set[int]:
@@ -90,17 +79,6 @@ def _try_merge(shifted: HeffterGrid, base: HeffterGrid, n: int, p: int,
     return None
 
 
-def select_shift(shifted: HeffterGrid, base: HeffterGrid, n: int, p: int,
-                 alpha: int, eps: int = 2) -> int:
-    """Smallest cyclic shift of the ladder that yields a verified merge."""
-    result = _try_merge(shifted, base, n, p, alpha, eps, range(n))
-    if result is None:
-        raise NoParameters(
-            f"no cyclic shift works for n={n}, p={p}, alpha={alpha}, eps={eps}"
-        )
-    return result[1]
-
-
 def build_h4p3(
     n: int,
     p: int,
@@ -117,55 +95,55 @@ def build_h4p3(
     if n % 4 not in (0, 1):
         raise UnsupportedParameters(f"n = {n}: need n congruent to 0 or 1 mod 4")
 
-    base = build_h3_base(n, node_budget)
-    k = 4 * p + 3
-    shifts = range(n) if shift is None else (shift,)
-
     if n % 4 == 1:
         if eps is not None and eps != 2:
             raise ValueError("eps must be 2 when n = 1 mod 4")
-        eps = 2
         if alpha is None:
             alpha = (n - 1) // 2
         if not 2 * p + 2 <= alpha <= n - 2 - 2 * p:
             raise ValueError(f"alpha = {alpha} outside [{2 * p + 2}, {n - 2 - 2 * p}]")
         if math.gcd(n, alpha) != 1:
             raise ValueError(f"gcd({n}, {alpha}) != 1")
-        shifted = build_shifted(n, p, 3, alpha)
-        result = _try_merge(shifted, base, n, p, alpha, eps, shifts)
-        if result is None:
-            raise NoParameters(f"no valid shift for n={n}, p={p}, alpha={alpha}")
-        merged, t = result
-        return merged, MergeParams(n, p, alpha, eps, 2 * p + alpha - 3, t, 2 * n * k + 1)
+        pairs = [(2, alpha)]
+    else:
+        pairs = _candidates(n, p, eps, alpha)
+        if not pairs:
+            raise UnsupportedParameters(
+                f"no admissible (eps, alpha) for n={n}, p={p}: for n = 0 mod 4 the merge "
+                f"needs an eps coprime to n with 3 <= eps <= (n-4p)/2, so n well above k"
+            )
 
-    # n = 0 mod 4: search (eps, alpha) pairs, smallest eps then smallest alpha;
-    # eps = 1 would put a ladder diagonal on D_{2p+alpha}.
-    def candidates():
-        if eps is not None and alpha is not None:
-            yield eps, alpha
-            return
-        if n % 12 != 0 and n >= 4 * p + 8 and eps is None and alpha is None:
-            yield 3, n // 2 - 1
-        eps_range = (eps,) if eps is not None else range(2, (n - 4 * p) // 2 + 1)
-        for e in eps_range:
-            if math.gcd(n, e) != 1:
-                continue
-            alpha_range = (alpha,) if alpha is not None else range(2 * p + e, n - e - 2 * p + 1)
-            for a in alpha_range:
-                if math.gcd(n, a) != 1:
-                    continue
-                yield e, a
-
-    for e, a in candidates():
-        if not (e <= (n - 4 * p) / 2 and 2 * p + e <= a <= n - e - 2 * p):
-            continue
-        if not (2 * p + a - e - 1 > 4 * p - 2 and 2 * p + a + e - 1 < n):
-            continue
-        if not (2 * p - 1 <= a <= n - 1 - 2 * p):
-            continue
+    base = build_h3_base(n, node_budget)
+    k = 4 * p + 3
+    shifts = range(n) if shift is None else (shift,)
+    for e, a in pairs:
         shifted = build_shifted(n, p, 3, a)
         result = _try_merge(shifted, base, n, p, a, e, shifts)
         if result is not None:
             merged, t = result
             return merged, MergeParams(n, p, a, e, 2 * p + a - e - 1, t, 2 * n * k + 1)
     raise NoParameters(f"no (eps, alpha, shift) verified for n={n}, p={p}")
+
+
+def _candidates(n: int, p: int, eps: int | None, alpha: int | None) -> list[tuple[int, int]]:
+    """Admissible (eps, alpha) pairs for n = 0 mod 4, smallest eps then smallest alpha.
+
+    eps = 1 would put a ladder diagonal on D_{2p+alpha}.
+    """
+    if eps is not None and alpha is not None:
+        pairs = [(eps, alpha)]
+    else:
+        pairs = []
+        if n % 12 != 0 and n >= 4 * p + 8 and eps is None and alpha is None:
+            pairs.append((3, n // 2 - 1))
+        for e in (eps,) if eps is not None else range(2, (n - 4 * p) // 2 + 1):
+            if math.gcd(n, e) == 1:
+                alphas = (alpha,) if alpha is not None else range(2 * p + e, n - e - 2 * p + 1)
+                pairs += [(e, a) for a in alphas if math.gcd(n, a) == 1]
+    # dict.fromkeys drops the second copy of (3, n/2-1) and keeps the order
+    return list(dict.fromkeys(
+        (e, a) for e, a in pairs
+        if e <= (n - 4 * p) / 2 and 2 * p + e <= a <= n - e - 2 * p
+        and 2 * p + a - e - 1 > 4 * p - 2 and 2 * p + a + e - 1 < n
+        and 2 * p - 1 <= a <= n - 1 - 2 * p
+    ))

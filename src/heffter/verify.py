@@ -197,17 +197,17 @@ def compatibility_check(
     if col_orderings is None:
         col_orderings = [natural_order(grid, "col", a) for a in range(grid.n)]
 
-    def successor_map(orderings, line_cells_of):
+    def successor_map(orderings, kind):
         succ = {}
         for idx, cells in enumerate(orderings):
-            if set(cells) != set(line_cells_of(idx)):
+            if set(cells) != set(grid.line_cells(kind, idx)):
                 raise ValueError(f"ordering {idx} does not cover its line")
             for pos, cell in enumerate(cells):
                 succ[cell] = cells[(pos + 1) % len(cells)]
         return succ
 
-    omega_r = successor_map(row_orderings, lambda a: grid.row_cells(a))
-    omega_c = successor_map(col_orderings, lambda a: grid.col_cells(a))
+    omega_r = successor_map(row_orderings, "row")
+    omega_c = successor_map(col_orderings, "col")
 
     composed = {cell: omega_r[omega_c[cell]] for cell in grid.entries}
     unvisited = set(composed)

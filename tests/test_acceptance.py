@@ -12,7 +12,7 @@ import pytest
 
 from heffter.cli import main as cli_main
 from heffter.construct4p import build_h4p
-from heffter.decompose import cols_system, orthogonality, rows_system
+from heffter.decompose import line_system, orthogonality
 from heffter.grid import HeffterGrid, diagonal_order, is_simple, natural_order, partial_sums
 from heffter.gridio import grid_to_text
 from heffter.h3 import build_h3_base, relocate_h3
@@ -145,8 +145,8 @@ def test_criterion_6_h4p3_even_spot_checks(n, p):
 def test_criterion_7_orthogonal_decompositions(n, M):
     g = h4p(n, 3)
     assert M == 24 * n + 1
-    rows = rows_system(g, M)
-    cols = cols_system(g, M)
+    rows = line_system(g, "row", M)
+    cols = line_system(g, "col", M)
     for system in (rows, cols):
         assert len(system.cycles) == n * M
         assert system.is_complete  # every edge of K_M exactly once

@@ -140,3 +140,9 @@ def test_compatibility_command(capsys, data_dir):
 def test_usage_error_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_construction_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("HEFFTER_SEARCH_BUDGET", "10")
+    code, out, err = run(capsys, "construct", "--family", "h3", "--n", "20")
+    assert code == 3 and out == "" and "no H(20;3) found" in err

@@ -5,12 +5,11 @@ from heffter.decompose import (
     NotSimple,
     base_cycle,
     canonical_cycle,
-    cols_system,
     cycle_edges,
     develop,
+    line_system,
     orthogonality,
     read_system,
-    rows_system,
     system_from_text,
     system_to_text,
     write_system,
@@ -63,8 +62,8 @@ def test_develop_detects_double_cover():
 
 
 def test_row_and_col_systems_are_orthogonal(h17_12):
-    rows = rows_system(h17_12, 409)
-    cols = cols_system(h17_12, 409)
+    rows = line_system(h17_12, "row", 409)
+    cols = line_system(h17_12, "col", 409)
     assert rows.is_complete and cols.is_complete
     assert len(rows.cycles) == 17 * 409
     ok, worst, _ = orthogonality(rows, cols)
@@ -72,7 +71,7 @@ def test_row_and_col_systems_are_orthogonal(h17_12):
 
 
 def test_self_join_not_orthogonal(h17_12):
-    rows = rows_system(h17_12, 409)
+    rows = line_system(h17_12, "row", 409)
     ok, worst, _ = orthogonality(rows, rows)
     assert not ok and worst == 12
 
@@ -85,7 +84,7 @@ def test_orthogonality_requires_same_modulus():
 
 
 def test_cyclic_invariance(h17_12):
-    rows = rows_system(h17_12, 409)
+    rows = line_system(h17_12, "row", 409)
     translated = {canonical_cycle([(v + 1) % 409 for v in c]) for c in rows.cycles}
     assert translated == set(rows.cycles)
 

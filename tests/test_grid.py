@@ -1,5 +1,6 @@
 import pytest
 
+from heffter import read_grid
 from heffter.grid import (
     HeffterGrid,
     diagonal_cells,
@@ -44,10 +45,30 @@ def test_fill_counts():
 
 def test_line_cells_sorted():
     g = small_grid()
-    assert g.row_cells(0) == [(0, 0), (0, 1)]
-    assert g.col_cells(2) == [(1, 2), (2, 2)]
+    assert g.line_cells("row", 0) == [(0, 0), (0, 1)]
+    assert g.line_cells("col", 2) == [(1, 2), (2, 2)]
     with pytest.raises(ValueError):
-        g.row_cells(3)
+        g.line_cells("row", 3)
+
+
+@pytest.mark.parametrize("kind", ["row", "col"])
+def test_negative_line_index_is_rejected(kind):
+    # a list index of -1 would silently wrap around to the last line
+    g = small_grid()
+    with pytest.raises(ValueError):
+        g.line_cells(kind, -1)
+    with pytest.raises(ValueError):
+        g.line_sum(kind, -1)
+    with pytest.raises(ValueError):
+        partial_sums(g, kind, -1, [], 7)
+
+
+def test_equal_entries_compare_equal():
+    g = small_grid()
+    same = HeffterGrid(3, 3, dict(reversed(list(g.entries.items()))))
+    assert same == g
+    assert HeffterGrid(3, 3, {(0, 0): 1}) != g
+    assert "_rows" not in repr(g) and "_cols" not in repr(g)
 
 
 def test_line_sum():
@@ -97,6 +118,25 @@ def test_natural_vs_diagonal_order():
     # diagonal order of row 0 visits columns 0, 2, 1 (labels d = 0, 1, 2)
     assert diagonal_order(g, "row", 0) == [(0, 0), (0, 1)]
     assert diagonal_order(g, "col", 0) == [(0, 0), (2, 0)]
+
+
+def _diagonal_scan(grid, kind, a):
+    n = grid.n
+    cells = [(a, (a - d) % n) if kind == "row" else ((a + d) % n, a) for d in range(n)]
+    return [c for c in cells if c in grid.entries]
+
+
+def test_diagonal_order_matches_diagonal_scan(data_dir):
+    square = 0
+    for path in sorted(data_dir.glob("*.txt")):
+        g = read_grid(path)
+        if not g.is_square:
+            continue
+        square += 1
+        for kind in ("row", "col"):
+            for a in range(g.n):
+                assert diagonal_order(g, kind, a) == _diagonal_scan(g, kind, a), (path.name, kind, a)
+    assert square == 6
 
 
 def test_partial_sums_exact_and_residues():

@@ -61,3 +61,11 @@ def test_bad_entry_reports_position():
 def test_signed_entries_parse():
     g = grid_from_text("#heffter m=1 n=3 s=2 t=1\n-5,,+7\n")
     assert g.entries == {(0, 0): -5, (0, 2): 7}
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661"])
+def test_non_canonical_integer_rejected(field):
+    # int() accepts "1_0" as 10 and the Arabic-Indic digit one as 1
+    with pytest.raises(GridParseError) as exc:
+        grid_from_text(f"#heffter m=1 n=2 s=1 t=1\n{field},\n")
+    assert exc.value.line == 2 and exc.value.column == 1

@@ -1,7 +1,9 @@
 import pytest
 
+from heffter import merge
+from heffter.construct4p import UnsupportedParameters
 from heffter.gridio import grid_to_text
-from heffter.merge import MergeParams, build_h4p3, coprime_scan
+from heffter.merge import MergeParams, build_h4p3
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
 
 
@@ -52,9 +54,15 @@ def test_alpha_validation():
         build_h4p3(17, 3, eps=3)  # eps is fixed at 2 when n = 1 mod 4
 
 
-def test_coprime_scan():
-    assert coprime_scan(12, 4, 8) == 5
-    assert coprime_scan(6, 2, 4) is None
+@pytest.mark.parametrize("n,p", [(16, 3), (20, 4), (28, 6)])
+def test_n_4p_plus_4_fails_before_the_search(monkeypatch, n, p):
+    # n = 0 mod 4 needs an odd eps >= 3, but eps <= (n-4p)/2 = 2 here
+    def no_search(*args):
+        raise AssertionError("the H(n;3) search was reached")
+
+    monkeypatch.setattr(merge, "build_h3_base", no_search)
+    with pytest.raises(UnsupportedParameters):
+        build_h4p3(n, p)
 
 
 def test_support_covers_full_range():
@@ -62,3 +70,9 @@ def test_support_covers_full_range():
     sup, conflicts = grid.support()
     assert sup == set(range(1, 11 * 21 + 1))
     assert not conflicts
+
+
+def test_merge_candidates_are_distinct():
+    # (3, n/2-1) is tried first and must not be tried again in the scan
+    pairs = merge._candidates(28, 3, None, None)
+    assert pairs[0] == (3, 13) and len(pairs) == len(set(pairs))
