@@ -11,7 +11,7 @@ from .grid import (
     partial_sums,
 )
 from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid, write_grid
-from .h3 import NoArrayFound, build_h3_base, cyclic_shift, relocate_h3
+from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .merge import MergeParams, NoParameters, build_h4p3
 from .shifted import NoValidAlpha, build_shifted, choose_alpha
 from .verify import (
@@ -54,7 +54,6 @@ __all__ = [
     "build_h3_base",
     "relocate_h3",
     "cyclic_shift",
-    "NoArrayFound",
     "build_h4p3",
     "MergeParams",
     "NoParameters",

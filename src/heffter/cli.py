@@ -2,12 +2,8 @@
 
 Subcommands: construct, verify, partial-sums, decompose, orthogonality,
 compatibility.  Exit codes: 0 all checks pass, 1 a property check failed,
-2 usage or input errors, 3 construction found no array (the H(n;3) search
-ran out of budget, or no merge parameters verified).  Identical invocations
-print identical output.
-
-The h3 and h4p3 families run a backtracking search; its node budget can be
-overridden with the HEFFTER_SEARCH_BUDGET environment variable.
+2 usage or input errors, 3 construction found no array (no merge
+parameters verified).  Identical invocations print identical output.
 """
 
 from __future__ import annotations
@@ -75,7 +71,8 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
     """Every check up to ``level``, the ladder shared by construct and verify.
 
     ``modulus`` goes to the top check only: the line sums at level heffter and
-    the partial sums at level globally-simple; level integer ignores it.
+    the partial sums at level globally-simple.  The other levels ignore it,
+    and ``verify`` refuses it there.
     """
     if level == "support-shifted":
         if p is None or gamma is None:
@@ -150,6 +147,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.modulus is not None and args.level in ("integer", "support-shifted"):
+        raise _UsageError(f"--modulus is not used at level {args.level}")
     grid = _load_grid(args.path)
     try:
         report = _verify_level(grid, args.level, args.s, args.t, args.modulus,
@@ -319,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (h3.NoArrayFound, merge.NoParameters) as exc:
+    except merge.NoParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ARRAY
 

@@ -137,7 +137,7 @@ def orthogonality(first: CycleSystem, second: CycleSystem) -> tuple[bool, int, t
 
 # -- cycle-system files --------------------------------------------------
 
-_CYCLE_HEADER = re.compile(r"#cycles M=(\d+) k=(\d+) count=(\d+)\s*$")
+_CYCLE_HEADER = re.compile(r"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\s*$")
 
 
 def system_to_text(system: CycleSystem) -> str:

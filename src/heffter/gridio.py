@@ -23,7 +23,7 @@ class GridParseError(ValueError):
         self.column = column
 
 
-_HEADER = re.compile(r"#heffter m=(\d+) n=(\d+) s=(\d+) t=(\d+)\s*$")
+_HEADER = re.compile(r"#heffter m=([0-9]+) n=([0-9]+) s=([0-9]+) t=([0-9]+)\s*$")
 # int() would also take "1_0" and non-ASCII digits
 _ENTRY = re.compile(r"[+-]?[0-9]+")
 

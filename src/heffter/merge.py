@@ -3,9 +3,13 @@
 The shifted array leaves the diagonals outside {0..4p-2, 2p+alpha} empty; an
 H(n;3) relocated onto D_{2p+alpha-eps-1}, D_{2p+alpha-1}, D_{2p+alpha+eps-1}
 fills three of them.  With the shifted support {3n+1..(4p+3)n} and the
-ladder support {1..3n} the union covers {1..(4p+3)n}.  For n = 1 mod 4 the
-step is eps = 2; for n = 0 mod 4 a small coprime eps is searched for.  Every
-candidate is accepted only after the independent verifier passes it.
+ladder support {1..3n} the union covers {1..(4p+3)n}.  The H(n;3) is the
+closed-form three-diagonal array of ``h3.build_h3_base`` (Archdeacon,
+Dinitz, Donovan and Yazıcı, "Square integer Heffter arrays with empty
+cells", 2015), built once per call.  For n = 1 mod 4 the step is eps = 2;
+for n = 0 mod 4 the admissible (eps, alpha) pairs are tried smallest eps
+first.  For each pair every cyclic shift of the relocated H(n;3) is tried,
+and a candidate is accepted only after the independent verifier passes it.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ def build_h4p3(
     alpha: int | None = None,
     eps: int | None = None,
     shift: int | None = None,
-    node_budget: int | None = None,
 ) -> tuple[HeffterGrid, MergeParams]:
     """Globally simple H(n;4p+3) plus the parameters that produced it."""
     if p < 1:
@@ -113,7 +116,7 @@ def build_h4p3(
                 f"needs an eps coprime to n with 3 <= eps <= (n-4p)/2, so n well above k"
             )
 
-    base = build_h3_base(n, node_budget)
+    base = build_h3_base(n)
     k = 4 * p + 3
     shifts = range(n) if shift is None else (shift,)
     for e, a in pairs:

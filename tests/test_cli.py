@@ -142,7 +142,40 @@ def test_usage_error_unknown_command(capsys):
     assert code == 2
 
 
-def test_construction_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("HEFFTER_SEARCH_BUDGET", "10")
-    code, out, err = run(capsys, "construct", "--family", "h3", "--n", "20")
-    assert code == 3 and out == "" and "no H(20;3) found" in err
+def test_construction_failure_exit_code(capsys):
+    # shift 2 fails the verifier at every (eps, alpha), so no merge parameters verify
+    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3",
+                         "--shift", "2")
+    assert code == 3 and out == "" and "no (eps, alpha, shift) verified" in err
+
+
+def test_verify_rejects_non_ascii_header_digits(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("#heffter m=\u0661 n=2 s=1 t=1\n1,-1\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == "" and "header" in err
+
+
+def test_orthogonality_rejects_non_ascii_header_digits(tmp_path, capsys, data_dir):
+    rows = tmp_path / "rows.txt"
+    cols = tmp_path / "cols.txt"
+    code, _, _ = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                     "--rows-out", str(rows), "--cols-out", str(cols))
+    assert code == 0
+    bad = tmp_path / "bad.txt"
+    text = rows.read_text(encoding="utf-8")
+    bad.write_text(text.replace("M=409", "M=\u0664\u0660\u0669", 1), encoding="utf-8")
+    code, out, err = run(capsys, "orthogonality", str(bad), str(cols))
+    assert code == 2 and out == "" and "#cycles header" in err
+
+
+@pytest.mark.parametrize("name,level,extra", [
+    ("h17_12.txt", "integer", ()),
+    ("h17_12_3.txt", "support-shifted", ("--p", "3", "--gamma", "3")),
+])
+def test_verify_refuses_unused_modulus(capsys, data_dir, name, level, extra):
+    path = str(data_dir / name)
+    code, out, err = run(capsys, "verify", path, "--level", level, *extra, "--modulus", "5")
+    assert code == 2 and out == "" and "--modulus" in err
+    code, out, _ = run(capsys, "verify", path, "--level", level, *extra)
+    assert code == 0 and out.endswith("OVERALL PASS\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from heffter.gridio import grid_to_text
-from heffter.h3 import NoArrayFound, build_h3_base, cyclic_shift, relocate_h3
+from heffter.h3 import build_h3_base, cyclic_shift, relocate_h3
 from heffter.verify import verify_heffter, verify_integer
 
 
@@ -31,9 +31,27 @@ def test_rejects_bad_congruence():
             build_h3_base(n)
 
 
-def test_budget_exhaustion():
-    with pytest.raises(NoArrayFound):
-        build_h3_base(21, node_budget=10)
+def test_closed_forms_cover_every_order_to_500():
+    for n in range(4, 501):
+        if n % 4 in (0, 1):
+            check_base_structure(build_h3_base(n))
+
+
+@pytest.mark.parametrize("b,c,d", [
+    # n = 4, which the closed forms do not cover
+    ([9, 5, 11, 10], [-2, 3, 1, -4], [-7, -8, -12, -6]),
+    # n = 17, the array the golden H(17;15) is merged from
+    ([19, 36, 20, 37, 21, 38, 22, 30, 46, 29, 45, 28, 44, 27, 43, 18, 35],
+     [15, 14, 13, 12, 11, 10, 9, 17, -7, -6, -5, -4, -3, -2, -1, 8, 16],
+     [-34, -50, -33, -49, -32, -48, -31, -47, -39, -23, -40, -24, -41, -25, -42, -26, -51]),
+], ids=["4", "17"])
+def test_frozen_triples(b, c, d):
+    n = len(c)
+    g = build_h3_base(n)
+    assert len(g.entries) == 3 * n
+    assert [g.entry(a, (a + 1) % n) for a in range(n)] == b
+    assert [g.entry(a, a) for a in range(n)] == c
+    assert [g.entry(a, (a - 1) % n) for a in range(n)] == d
 
 
 def test_deterministic():
@@ -78,9 +96,3 @@ def test_cyclic_shift_preserves_diagonals(h9_3_base):
 def test_cyclic_shift_round_trip(h9_3_base):
     n = h9_3_base.n
     assert grid_to_text(cyclic_shift(cyclic_shift(h9_3_base, 3), n - 3)) == grid_to_text(h9_3_base)
-
-
-def test_search_budget_env(monkeypatch):
-    monkeypatch.setenv("HEFFTER_SEARCH_BUDGET", "10")
-    with pytest.raises(NoArrayFound):
-        build_h3_base(21)

@@ -57,10 +57,10 @@ def test_alpha_validation():
 @pytest.mark.parametrize("n,p", [(16, 3), (20, 4), (28, 6)])
 def test_n_4p_plus_4_fails_before_the_search(monkeypatch, n, p):
     # n = 0 mod 4 needs an odd eps >= 3, but eps <= (n-4p)/2 = 2 here
-    def no_search(*args):
-        raise AssertionError("the H(n;3) search was reached")
+    def no_build(*args):
+        raise AssertionError("the H(n;3) build was reached")
 
-    monkeypatch.setattr(merge, "build_h3_base", no_search)
+    monkeypatch.setattr(merge, "build_h3_base", no_build)
     with pytest.raises(UnsupportedParameters):
         build_h4p3(n, p)
 
@@ -76,3 +76,20 @@ def test_merge_candidates_are_distinct():
     # (3, n/2-1) is tried first and must not be tried again in the scan
     pairs = merge._candidates(28, 3, None, None)
     assert pairs[0] == (3, 13) and len(pairs) == len(set(pairs))
+
+
+@pytest.mark.slow
+def test_every_theorem_order_up_to_201():
+    # every n = 0,1 mod 4 with n >= 4p+3 either merges or has no admissible
+    # (eps, alpha) at all; NoParameters must never be raised
+    for n in range(7, 202):
+        if n % 4 not in (0, 1):
+            continue
+        for p in range(1, (n - 3) // 4 + 1):
+            if n % 4 == 0 and not merge._candidates(n, p, None, None):
+                with pytest.raises(UnsupportedParameters):
+                    build_h4p3(n, p)
+                continue
+            grid, params = build_h4p3(n, p)
+            assert params.modulus == 2 * n * (4 * p + 3) + 1
+            full_check(grid, n, 4 * p + 3)
