@@ -70,15 +70,16 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
                   gamma: int | None = None) -> VerificationReport:
     """Every check up to ``level``, the ladder shared by construct and verify.
 
-    ``modulus`` goes to the top check only: the line sums at level heffter and
-    the partial sums at level globally-simple.  The other levels ignore it,
-    and ``verify`` refuses it there.
+    ``modulus`` replaces 2ms+1 for the line sums at levels heffter and
+    globally-simple, and for the partial sums at level globally-simple.
+    Levels integer and support-shifted check exact sums and their own
+    modulus, so ``verify`` refuses it there.
     """
     if level == "support-shifted":
         if p is None or gamma is None:
             raise _UsageError("--p and --gamma are required at level support-shifted")
         return verify_support_shifted(grid, p, gamma)
-    report = verify_heffter(grid, s, t, modulus if level == "heffter" else None)
+    report = verify_heffter(grid, s, t, modulus)
     if level != "heffter":
         report.extend(verify_integer(grid))
     if level == "globally-simple":

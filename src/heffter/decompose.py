@@ -4,6 +4,17 @@ Each line of the array whose partial sums are distinct mod M gives a base
 cycle on Z_M (the partial sums themselves); developing every base cycle under
 x -> x+1 produces a cycle system.  Row and column systems of the same array
 are orthogonal: any two cycles, one from each, share at most one edge.
+
+``develop`` certifies a system by the difference method instead of joining
+edges: the translates of base cycles on Z_M are pairwise edge-disjoint exactly
+when the differences +-(v - u) over the base cycles' edges are distinct mod M,
+and they decompose K_M exactly when those differences also cover every
+nonzero residue.  The differences of a line's base cycle are the line's
+entries, so a simple Heffter array certifies itself (Archdeacon, "Heffter
+arrays and biembedding graphs on surfaces", Electron. J. Combin. 22, 2015).
+``develop`` and ``line_system`` therefore build no edge index; only
+``orthogonality`` and the cycle-file reader, which checks a file it did not
+develop, join edges.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .grid import HeffterGrid, natural_order, partial_sums
@@ -23,27 +35,22 @@ class NotSimple(ValueError):
 
 
 class NotADecomposition(ValueError):
-    """A developed edge appeared in two cycles."""
+    """Two cycles of a system share an edge."""
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation of the lesser traversal direction."""
-    best = None
-    for seq in (tuple(vertices), tuple(reversed(vertices))):
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Lexicographically least rotation of the lesser traversal direction.
+
+    The vertices must be distinct, so the least rotation starts at the least
+    vertex and only the two directions from it need comparing.
+    """
+    start = vertices.index(min(vertices))
+    fwd = tuple(vertices[start:]) + tuple(vertices[:start])
+    return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
 def cycle_edges(vertices: Sequence[int]) -> list[Edge]:
-    k = len(vertices)
-    edges = []
-    for i in range(k):
-        u, v = vertices[i], vertices[(i + 1) % k]
-        edges.append((u, v) if u < v else (v, u))
-    return edges
+    return [(u, v) if u < v else (v, u) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
 
 
 def base_cycle(grid: HeffterGrid, kind: str, a: int, ordering, modulus: int) -> tuple[int, ...]:
@@ -63,50 +70,69 @@ def base_cycle(grid: HeffterGrid, kind: str, a: int, ordering, modulus: int) -> 
 
 @dataclass
 class CycleSystem:
-    """A set of k-cycles on Z_M with an index from each edge to its cycle."""
+    """A set of pairwise edge-disjoint k-cycles on Z_M.
+
+    ``develop`` certifies the disjointness by differences and the file reader
+    by ``edge_index``, so the cycles cover exactly k * len(cycles) edges.
+    """
 
     modulus: int
     k: int
     cycles: list[tuple[int, ...]]
-    edge_index: dict[Edge, int]
 
     @property
     def is_complete(self) -> bool:
-        M = self.modulus
-        return len(self.edge_index) == M * (M - 1) // 2
+        return self.missing_edge_count() == 0
 
     def missing_edge_count(self) -> int:
         M = self.modulus
-        return M * (M - 1) // 2 - len(self.edge_index)
+        return M * (M - 1) // 2 - self.k * len(self.cycles)
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's cycle id, built on first use.
+
+        Raises NotADecomposition (naming the edge and both cycle ids) if two
+        cycles share an edge.
+        """
+        index: dict[Edge, int] = {}
+        for cid, cyc in enumerate(self.cycles):
+            for e in cycle_edges(cyc):
+                if e in index:
+                    raise NotADecomposition(f"edge {e} in cycles {index[e]} and {cid}")
+                index[e] = cid
+        return index
 
 
 def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CycleSystem:
-    """All translates C + t of the base cycles, with the full edge index.
+    """All translates C + t of the base cycles, certified by their differences.
 
-    Raises NotADecomposition (naming the edge and both cycle ids) if any
-    edge is covered twice.
+    Raises NotSimple if a base cycle repeats a vertex mod M, and
+    NotADecomposition (naming the difference and both base cycle ids) if a
+    difference d or its negative occurs twice.  For even M, d = M/2 is its
+    own negative: its orbit covers each of its edges twice, so it counts as
+    a repeat.
     """
-    cycles: list[tuple[int, ...]] = []
-    edge_index: dict[Edge, int] = {}
-    k = None
-    for base in base_cycles:
-        if k is None:
-            k = len(base)
-        elif len(base) != k:
-            raise ValueError("base cycles have mixed lengths")
-        for t in range(modulus):
-            translated = canonical_cycle([(v + t) % modulus for v in base])
-            cid = len(cycles)
-            cycles.append(translated)
-            for e in cycle_edges(translated):
-                if e in edge_index:
-                    raise NotADecomposition(
-                        f"edge {e} in cycles {edge_index[e]} and {cid}"
-                    )
-                edge_index[e] = cid
-    if k is None:
+    bases = [[v % modulus for v in base] for base in base_cycles]
+    if not bases:
         raise ValueError("no base cycles")
-    return CycleSystem(modulus, k, cycles, edge_index)
+    k = len(bases[0])
+    owner: dict[int, int] = {}
+    for b, base in enumerate(bases):
+        if len(base) != k:
+            raise ValueError("base cycles have mixed lengths")
+        if len(set(base)) != k:
+            raise NotSimple(f"base cycle {b} repeats a vertex mod {modulus}")
+        for u, v in zip(base, base[1:] + base[:1]):
+            d = (v - u) % modulus
+            if d in owner or 2 * d == modulus:
+                raise NotADecomposition(
+                    f"difference {d} in base cycles {owner.get(d, b)} and {b}"
+                )
+            owner[d] = owner[modulus - d] = b
+    cycles = [canonical_cycle([(v + t) % modulus for v in base])
+              for base in bases for t in range(modulus)]
+    return CycleSystem(modulus, k, cycles)
 
 
 def line_system(grid: HeffterGrid, kind: str, modulus: int, order=natural_order) -> CycleSystem:
@@ -119,25 +145,30 @@ def line_system(grid: HeffterGrid, kind: str, modulus: int, order=natural_order)
 def orthogonality(first: CycleSystem, second: CycleSystem) -> tuple[bool, int, tuple[int, int]]:
     """Whether every cycle pair across the two systems shares at most one edge.
 
-    Joins the edge indexes (linear in the edge count) and returns
-    (verdict, max shared edges, the cycle-id pair achieving the maximum).
+    Looks up each edge of each cycle of ``second`` in the edge index of
+    ``first`` (linear in the edge count) and returns (verdict, max shared
+    edges, the cycle-id pair achieving the maximum, the greatest such pair
+    on ties).
     """
     if first.modulus != second.modulus:
         raise ValueError("cycle systems live on different vertex sets")
-    shared: Counter = Counter()
-    for e, cid in first.edge_index.items():
-        other = second.edge_index.get(e)
-        if other is not None:
-            shared[(cid, other)] += 1
-    if not shared:
-        return True, 0, (-1, -1)
-    (pair, worst) = max(shared.items(), key=lambda kv: (kv[1], kv[0]))
-    return worst <= 1, worst, pair
+    index = first.edge_index
+    best = (0, -1, -1)
+    for cid, cyc in enumerate(second.cycles):
+        shared = Counter(map(index.get, cycle_edges(cyc)))
+        shared.pop(None, None)
+        for other, count in shared.items():
+            best = max(best, (count, other, cid))
+    worst, a, b = best
+    return worst <= 1, worst, (a, b)
 
 
 # -- cycle-system files --------------------------------------------------
 
 _CYCLE_HEADER = re.compile(r"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\s*$")
+# A line of ASCII digits and whitespace splits into [0-9]+ fields; int()
+# would also take "1_0", signs and non-ASCII digits.
+_VERTICES = re.compile(r"[0-9\s]+")
 
 
 def system_to_text(system: CycleSystem) -> str:
@@ -159,17 +190,20 @@ def system_from_text(text: str) -> CycleSystem:
     if len(body) != count:
         raise ValueError(f"expected {count} cycles, found {len(body)}")
     cycles = []
-    edge_index: dict[Edge, int] = {}
     for cid, line in enumerate(body):
-        cyc = tuple(int(v) for v in line.split())
+        if not _VERTICES.fullmatch(line):
+            raise ValueError(f"cycle {cid}: vertices must be ASCII decimal integers")
+        cyc = tuple(map(int, line.split()))
         if len(cyc) != k:
             raise ValueError(f"cycle {cid} has length {len(cyc)}, expected {k}")
+        if max(cyc) >= M:
+            raise ValueError(f"cycle {cid}: vertex {max(cyc)} is not in Z_{M}")
+        if len(set(cyc)) != k:
+            raise ValueError(f"cycle {cid} repeats a vertex")
         cycles.append(cyc)
-        for e in cycle_edges(cyc):
-            if e in edge_index:
-                raise NotADecomposition(f"edge {e} in cycles {edge_index[e]} and {cid}")
-            edge_index[e] = cid
-    return CycleSystem(M, k, cycles, edge_index)
+    system = CycleSystem(M, k, cycles)
+    system.edge_index  # raises NotADecomposition if two cycles share an edge
+    return system
 
 
 def write_system(path, system: CycleSystem) -> None:

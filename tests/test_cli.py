@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -132,6 +134,54 @@ def test_decompose_and_orthogonality(tmp_path, capsys, data_dir):
     assert code == 1 and out.startswith("NOT ORTHOGONAL")
 
 
+def test_decompose_reports_missing_edges(tmp_path, capsys, data_dir):
+    code, out, _ = run(capsys, "decompose", str(data_dir / "h17_12.txt"), "--modulus", "1001",
+                       "--rows-out", str(tmp_path / "rows.txt"),
+                       "--cols-out", str(tmp_path / "cols.txt"))
+    # 17 * 1001 disjoint 12-cycles leave 1001 * 1000 / 2 - 17017 * 12 edges uncovered
+    assert code == 1
+    assert out.splitlines() == [
+        f"{label}: 17017 cycles of length 12 on Z_1001, missing 296296 edges"
+        for label in ("rows", "cols")
+    ]
+
+
+@pytest.fixture(scope="module")
+def h17_12_cycles(tmp_path_factory, data_dir):
+    """Row and column cycle files of h17_12.txt, written by decompose."""
+    out = tmp_path_factory.mktemp("cycles")
+    rows, cols = out / "rows.txt", out / "cols.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["decompose", str(data_dir / "h17_12.txt"),
+                     "--rows-out", str(rows), "--cols-out", str(cols)])
+    assert code == 0
+    return rows, cols
+
+
+@pytest.mark.parametrize("vertex,message", [
+    ("\u0660", "ASCII decimal"),  # Arabic-Indic zero, which int() reads as 0
+    ("0_0", "ASCII decimal"),
+    ("409", "not in Z_409"),
+])
+def test_orthogonality_rejects_malformed_vertices(tmp_path, capsys, h17_12_cycles,
+                                                  vertex, message):
+    rows, cols = h17_12_cycles
+    header, first, rest = rows.read_text(encoding="utf-8").split("\n", 2)
+    assert first.startswith("0 ")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([header, vertex + first[1:], rest]), encoding="utf-8")
+    code, out, err = run(capsys, "orthogonality", str(bad), str(cols))
+    assert code == 2 and out == "" and "cycle 0" in err and message in err
+
+
+def test_orthogonality_rejects_a_repeated_vertex(tmp_path, capsys):
+    # vertex 0 twice, but no edge twice, so an edge index alone accepts it
+    bad = tmp_path / "bad.txt"
+    bad.write_text("#cycles M=7 k=6 count=1\n0 1 2 0 3 4\n", encoding="utf-8")
+    code, out, err = run(capsys, "orthogonality", str(bad), str(bad))
+    assert code == 2 and out == "" and "cycle 0 repeats a vertex" in err
+
+
 def test_compatibility_command(capsys, data_dir):
     code, out, _ = run(capsys, "compatibility", str(data_dir / "h17_12.txt"))
     assert code == 1 and out.startswith("NOT COMPATIBLE")
@@ -179,3 +229,11 @@ def test_verify_refuses_unused_modulus(capsys, data_dir, name, level, extra):
     assert code == 2 and out == "" and "--modulus" in err
     code, out, _ = run(capsys, "verify", path, "--level", level, *extra)
     assert code == 0 and out.endswith("OVERALL PASS\n")
+
+
+def test_verify_globally_simple_checks_line_sums_mod_modulus(capsys, data_dir):
+    code, out, _ = run(capsys, "verify", str(data_dir / "h17_12.txt"),
+                       "--level", "globally-simple", "--modulus", "411")
+    assert code == 0
+    assert "CHECK line-sums-mod-411 PASS" in out and "CHECK natural-simple-mod-411 PASS" in out
+    assert "409" not in out
