@@ -4,9 +4,7 @@ from .construct4p import build_h4p, expected_diagonal_support
 from .grid import (
     HeffterGrid,
     PartialSumTrace,
-    diagonal_cells,
     diagonal_order,
-    is_simple,
     natural_order,
     partial_sums,
 )
@@ -18,7 +16,6 @@ from .verify import (
     Check,
     VerificationReport,
     compatibility_check,
-    diagonal_simplicity,
     verify_globally_simple,
     verify_heffter,
     verify_integer,
@@ -28,11 +25,9 @@ from .verify import (
 __all__ = [
     "HeffterGrid",
     "PartialSumTrace",
-    "diagonal_cells",
     "diagonal_order",
     "natural_order",
     "partial_sums",
-    "is_simple",
     "GridParseError",
     "grid_from_text",
     "grid_to_text",
@@ -44,7 +39,6 @@ __all__ = [
     "verify_integer",
     "verify_globally_simple",
     "verify_support_shifted",
-    "diagonal_simplicity",
     "compatibility_check",
     "build_h4p",
     "expected_diagonal_support",

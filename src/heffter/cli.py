@@ -2,8 +2,10 @@
 
 Subcommands: construct, verify, partial-sums, decompose, orthogonality,
 compatibility.  Exit codes: 0 all checks pass, 1 a property check failed,
-2 usage or input errors, 3 construction found no array (no merge
-parameters verified).  Identical invocations print identical output.
+2 usage or input errors, 3 the verifier rejected the (eps, alpha, shift) of
+an h4p3 merge, from its closed form or from --alpha/--eps/--shift.
+``construct`` refuses --gamma, --alpha, --eps and --shift for a family that
+does not read them.  Identical invocations print identical output.
 """
 
 from __future__ import annotations
@@ -89,8 +91,16 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
 
 # -- construct -----------------------------------------------------------
 
+# the optional construction flags each family reads
+_FAMILY_FLAGS = {"h4p": (), "shifted": ("gamma", "alpha"), "h3": (),
+                 "h4p3": ("alpha", "eps", "shift")}
+
 
 def cmd_construct(args) -> int:
+    ignored = [f"--{flag}" for flag in ("gamma", "alpha", "eps", "shift")
+               if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]]
+    if ignored:
+        raise _UsageError(f"family {args.family} does not use {', '.join(ignored)}")
     params: dict[str, int] = {"n": args.n}
     if args.family == "h4p":
         if args.p is None:

@@ -8,17 +8,10 @@ done modulo the grid order while entries are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 Cell = tuple[int, int]
 LineKind = Literal["row", "col"]
-
-
-def diagonal_cells(n: int, d: int) -> list[Cell]:
-    """Cells of diagonal d of an n x n grid: (i+d mod n, i) for i in 0..n-1."""
-    if not 0 <= d < n:
-        raise ValueError(f"diagonal label {d} out of range for order {n}")
-    return [((i + d) % n, i) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,6 @@ class HeffterGrid:
     def entry(self, i: int, j: int) -> int | None:
         return self.entries.get((i, j))
 
-    def entry_or_zero(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
     def _line(self, kind: LineKind, a: int) -> tuple[Cell, ...]:
         lines = self._rows if kind == "row" else self._cols
         # a negative index would silently wrap around
@@ -107,14 +97,15 @@ class HeffterGrid:
         """Entry of diagonal d on row/column a; 0 when the cell is empty.
 
         Defined for square grids only: for row a the cell is (a, a-d),
-        for column a it is (a+d, a).
+        for column a it is (a+d, a), with d in [0, n).
         """
         if not self.is_square:
             raise ValueError("diagonals are defined for square grids only")
         n = self.n
-        if kind == "row":
-            return self.entry_or_zero(a, (a - d) % n)
-        return self.entry_or_zero((a + d) % n, a)
+        if not 0 <= d < n:
+            raise ValueError(f"diagonal label {d} out of range for order {n}")
+        cell = (a, (a - d) % n) if kind == "row" else ((a + d) % n, a)
+        return self.entries.get(cell, 0)
 
     def nonempty_diagonals(self) -> list[int]:
         if not self.is_square:
@@ -145,8 +136,7 @@ def diagonal_order(grid: HeffterGrid, kind: LineKind, a: int) -> list[Cell]:
 class PartialSumTrace:
     """Running prefix sums of one line under a given ordering.
 
-    ``sums`` are exact integers; residues modulo ``modulus`` are exposed both
-    in [0, M) and in the symmetric range [-(M-1)/2, (M-1)/2].
+    ``sums`` are exact integers and ``residues`` their residues in [0, M).
     """
 
     kind: LineKind
@@ -159,11 +149,6 @@ class PartialSumTrace:
     @property
     def residues(self) -> tuple[int, ...]:
         return tuple(s % self.modulus for s in self.sums)
-
-    @property
-    def symmetric_residues(self) -> tuple[int, ...]:
-        M = self.modulus
-        return tuple(r - M if r > (M - 1) // 2 else r for r in self.residues)
 
     def first_collision(self) -> tuple[int, int] | None:
         """Lexicographically smallest position pair with equal residues."""
@@ -203,21 +188,3 @@ def partial_sums(
         s += e
         sums.append(s)
     return PartialSumTrace(kind, a, tuple(ordering), entries, tuple(sums), modulus)
-
-
-def is_simple(
-    grid: HeffterGrid,
-    kind: LineKind,
-    a: int,
-    ordering: Sequence[Cell],
-    modulus: int,
-) -> tuple[bool, tuple[int, int] | None]:
-    """Whether the line's partial sums are pairwise distinct modulo ``modulus``.
-
-    Returns (verdict, witness); the witness is the smallest offending
-    position pair when the verdict is False.
-    """
-    trace = partial_sums(grid, kind, a, ordering, modulus)
-    if trace.all_distinct:
-        return True, None
-    return False, trace.first_collision()

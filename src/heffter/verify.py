@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import HeffterGrid, diagonal_order, natural_order, partial_sums
+from .grid import HeffterGrid, natural_order, partial_sums
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,6 @@ def verify_support_shifted(grid: HeffterGrid, p: int, gamma: int) -> Verificatio
     _check_support(grid, gamma * n + 1, (k + gamma) * n, report)
     _check_line_sums(grid, None, report)
     _check_simplicity(grid, M, natural_order, f"natural-simple-mod-{M}", report)
-    return report
-
-
-def diagonal_simplicity(grid: HeffterGrid, modulus: int) -> VerificationReport:
-    """Simplicity of every line under the diagonal ordering (square grids)."""
-    report = VerificationReport()
-    _check_simplicity(grid, modulus, diagonal_order, f"diagonal-simple-mod-{modulus}", report)
     return report
 
 

@@ -193,10 +193,39 @@ def test_usage_error_unknown_command(capsys):
 
 
 def test_construction_failure_exit_code(capsys):
-    # shift 2 fails the verifier at every (eps, alpha), so no merge parameters verify
+    # the verifier rejects the closed-form (eps, alpha) = (2, 8) at shift 2
     code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3",
                          "--shift", "2")
     assert code == 3 and out == "" and "no (eps, alpha, shift) verified" in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (("--family", "h4p", "--n", "12", "--p", "3", "--shift", "5", "--gamma", "2", "--eps", "9"),
+     "--gamma, --eps, --shift"),
+    (("--family", "h3", "--n", "8", "--alpha", "3"), "--alpha"),
+    (("--family", "shifted", "--n", "17", "--p", "3", "--gamma", "3", "--eps", "2"), "--eps"),
+    (("--family", "h4p3", "--n", "17", "--p", "3", "--gamma", "3"), "--gamma"),
+])
+def test_construct_refuses_flags_the_family_ignores(capsys, argv, flags):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2 and out == "" and f"does not use {flags}" in err
+
+
+@pytest.mark.parametrize("shift", ["-17", "-1", "17", "40"])
+def test_construct_refuses_shift_outside_the_order(capsys, shift):
+    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3",
+                         "--shift", shift)
+    assert code == 2 and out == "" and "shift" in err
+
+
+def test_construct_forced_shift_keeps_the_closed_form_pair(capsys):
+    # n = 16, p = 1 has the closed-form pair (3, 7); shift 3 fails it and no
+    # other pair is tried
+    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "16", "--p", "1",
+                         "--shift", "3")
+    assert code == 3 and out == "" and "no (eps, alpha, shift) verified" in err
+    code, _, err = run(capsys, "construct", "--family", "h4p3", "--n", "16", "--p", "1")
+    assert code == 0 and "alpha=7" in err and "eps=3" in err and "t=0" in err
 
 
 def test_verify_rejects_non_ascii_header_digits(tmp_path, capsys):

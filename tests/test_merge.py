@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from heffter import merge
 from heffter.construct4p import UnsupportedParameters
 from heffter.gridio import grid_to_text
-from heffter.merge import MergeParams, build_h4p3
+from heffter.merge import MergeParams, NoParameters, build_h4p3
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
 
 
@@ -72,10 +74,51 @@ def test_support_covers_full_range():
     assert not conflicts
 
 
-def test_merge_candidates_are_distinct():
-    # (3, n/2-1) is tried first and must not be tried again in the scan
-    pairs = merge._candidates(28, 3, None, None)
-    assert pairs[0] == (3, 13) and len(pairs) == len(set(pairs))
+def test_merge_candidate_is_the_first_pair():
+    assert merge._candidates(28, 3, None, None) == (3, 13)
+
+
+def closed_form_pair(n, p):
+    """(eps, alpha) stated directly: least eps, then least alpha, in the window."""
+    if n % 4 == 1:
+        return 2, (n - 1) // 2
+    if n % 12 != 0 and n >= 4 * p + 8:
+        return 3, n // 2 - 1
+    return min(((e, a) for e in range(3, n) for a in range(n)
+                if math.gcd(n, e) == math.gcd(n, a) == 1
+                and 2 * e <= n - 4 * p and 2 * p + e <= a <= n - 2 * p - e), default=None)
+
+
+def test_every_theorem_order_up_to_61_uses_the_closed_form():
+    built = 0
+    for n in range(7, 62):
+        if n % 4 not in (0, 1):
+            continue
+        for p in range(1, (n - 3) // 4 + 1):
+            pair = closed_form_pair(n, p)
+            if pair is None:
+                with pytest.raises(UnsupportedParameters):
+                    build_h4p3(n, p)
+                continue
+            _, params = build_h4p3(n, p)
+            assert (params.eps, params.alpha, params.shift) == (*pair, 0), (n, p)
+            built += 1
+    assert built == 190
+
+
+@pytest.mark.parametrize("n,p,pair", [
+    (13, 1, (2, 6)), (17, 3, (2, 8)), (24, 3, (5, 11)), (28, 3, (3, 13)),
+    (28, 5, (3, 13)), (36, 4, (5, 13)), (60, 7, (7, 23)),
+])
+def test_closed_form_pins(n, p, pair):
+    _, params = build_h4p3(n, p)
+    assert (params.eps, params.alpha) == pair and params.shift == 0
+
+
+def test_forced_shift_has_no_fallback_pair():
+    # the closed-form pair (3, 7) fails at shift 3, and no other pair stands in
+    with pytest.raises(NoParameters):
+        build_h4p3(16, 1, shift=3)
 
 
 @pytest.mark.slow

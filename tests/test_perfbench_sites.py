@@ -10,6 +10,7 @@ as the benchmark does.
 import importlib.util
 import pathlib
 
+from heffter import merge
 from heffter.decompose import develop, write_system
 from heffter.gridio import grid_from_text
 
@@ -59,3 +60,23 @@ def test_every_work_counter_reads_a_real_result(tmp_path, data_dir):
         assert isinstance(count(args, None), int), name  # what the tracer passes when a call raises
     develop_args = real_args["decompose.develop"]
     assert counted["decompose.develop"](develop_args, develop(*develop_args)) == 21
+
+
+def test_one_merge_calls_each_traced_merge_site_once(monkeypatch):
+    # merge.full_verify_calls and h3.cyclic_shift.s count these calls
+    spans = _load_spans()
+    attrs = [site.split(".")[-1] for names, _ in spans.PATCHES.values() for site in names
+             if site.startswith("heffter.merge.")]
+    assert "cyclic_shift" in attrs and "verify_globally_simple" in attrs
+    calls = dict.fromkeys(attrs, 0)
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in attrs:
+        monkeypatch.setattr(merge, attr, counted(attr, getattr(merge, attr)))
+    merge.build_h4p3(28, 3)
+    assert calls == dict.fromkeys(attrs, 1)
