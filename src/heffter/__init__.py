@@ -11,7 +11,7 @@ from .grid import (
 from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid, write_grid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .merge import MergeParams, NoParameters, build_h4p3
-from .shifted import NoValidAlpha, build_shifted, choose_alpha
+from .shifted import build_shifted, choose_alpha
 from .verify import (
     Check,
     VerificationReport,
@@ -44,7 +44,6 @@ __all__ = [
     "expected_diagonal_support",
     "build_shifted",
     "choose_alpha",
-    "NoValidAlpha",
     "build_h3_base",
     "relocate_h3",
     "cyclic_shift",

@@ -4,8 +4,12 @@ Subcommands: construct, verify, partial-sums, decompose, orthogonality,
 compatibility.  Exit codes: 0 all checks pass, 1 a property check failed,
 2 usage or input errors, 3 the verifier rejected the (eps, alpha, shift) of
 an h4p3 merge, from its closed form or from --alpha/--eps/--shift.
-``construct`` refuses --gamma, --alpha, --eps and --shift for a family that
-does not read them.  Identical invocations print identical output.
+Exit 2 has one path: argparse refusals (a --modulus below 1 among them) and
+every ValueError or OSError a command raises, such as a malformed or
+unreadable input file or an unwritable output path, print an error to stderr
+and nothing to stdout.  ``construct`` refuses --p, --gamma, --alpha,
+--eps and --shift for a family that does not read them, and verifies every
+array before it writes it.  Identical invocations print identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 
 from . import construct4p, decompose, h3, merge, shifted
 from .grid import HeffterGrid, diagonal_order, natural_order, partial_sums
-from .gridio import GridParseError, grid_to_text, read_grid, write_grid
+from .gridio import grid_to_text, read_grid
 from .verify import (
     VerificationReport,
     compatibility_check,
@@ -30,10 +34,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NO_ARRAY = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _emit_report(report: VerificationReport, as_json: bool) -> int:
@@ -55,15 +55,15 @@ def _load_grid(path: str) -> HeffterGrid:
     try:
         return read_grid(path)
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except (GridParseError, ValueError) as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _default_modulus(grid: HeffterGrid) -> int:
     counts = grid.fills_per_row()
     if not grid.is_square or len(set(counts)) != 1:
-        raise _UsageError("grid has no default modulus; pass --modulus")
+        raise ValueError("grid has no default modulus; pass --modulus")
     return 2 * grid.n * counts[0] + 1
 
 
@@ -79,7 +79,7 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
     """
     if level == "support-shifted":
         if p is None or gamma is None:
-            raise _UsageError("--p and --gamma are required at level support-shifted")
+            raise ValueError("--p and --gamma are required at level support-shifted")
         return verify_support_shifted(grid, p, gamma)
     report = verify_heffter(grid, s, t, modulus)
     if level != "heffter":
@@ -92,25 +92,25 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
 # -- construct -----------------------------------------------------------
 
 # the optional construction flags each family reads
-_FAMILY_FLAGS = {"h4p": (), "shifted": ("gamma", "alpha"), "h3": (),
-                 "h4p3": ("alpha", "eps", "shift")}
+_FAMILY_FLAGS = {"h4p": ("p",), "shifted": ("p", "gamma", "alpha"), "h3": (),
+                 "h4p3": ("p", "alpha", "eps", "shift")}
 
 
 def cmd_construct(args) -> int:
-    ignored = [f"--{flag}" for flag in ("gamma", "alpha", "eps", "shift")
+    ignored = [f"--{flag}" for flag in ("p", "gamma", "alpha", "eps", "shift")
                if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]]
     if ignored:
-        raise _UsageError(f"family {args.family} does not use {', '.join(ignored)}")
+        raise ValueError(f"family {args.family} does not use {', '.join(ignored)}")
     params: dict[str, int] = {"n": args.n}
     if args.family == "h4p":
         if args.p is None:
-            raise _UsageError("--p is required for family h4p")
+            raise ValueError("--p is required for family h4p")
         grid = construct4p.build_h4p(args.n, args.p)
         k = 4 * args.p
         params.update(p=args.p, k=k, M=2 * args.n * k + 1)
     elif args.family == "shifted":
         if args.p is None or args.gamma is None:
-            raise _UsageError("--p and --gamma are required for family shifted")
+            raise ValueError("--p and --gamma are required for family shifted")
         alpha = args.alpha if args.alpha is not None else shifted.choose_alpha(args.n, args.p)
         grid = shifted.build_shifted(args.n, args.p, args.gamma, alpha)
         k = 4 * args.p
@@ -119,24 +119,21 @@ def cmd_construct(args) -> int:
     elif args.family == "h3":
         grid = h3.build_h3_base(args.n)
         params.update(k=3, M=6 * args.n + 1)
-    elif args.family == "h4p3":
+    else:  # h4p3; argparse restricts the choices
         if args.p is None:
-            raise _UsageError("--p is required for family h4p3")
+            raise ValueError("--p is required for family h4p3")
         grid, mp = merge.build_h4p3(args.n, args.p, alpha=args.alpha,
                                     eps=args.eps, shift=args.shift)
         params.update(p=args.p, k=4 * args.p + 3, alpha=mp.alpha, eps=mp.eps,
                       beta=mp.beta, t=mp.shift, M=mp.modulus)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown family {args.family}")
 
-    if not args.unchecked:
-        level = "support-shifted" if args.family == "shifted" else "globally-simple"
-        report = _verify_level(grid, level, params["k"], params["k"], params["M"],
-                               args.p, params.get("gamma"))
-        if not report.overall:
-            print(report.to_text(), end="", file=sys.stderr)
-            print("refusing to write unverified array", file=sys.stderr)
-            return EXIT_FAIL
+    level = "support-shifted" if args.family == "shifted" else "globally-simple"
+    report = _verify_level(grid, level, params["k"], params["k"], params["M"],
+                           args.p, params.get("gamma"))
+    if not report.overall:
+        print(report.to_text(), end="", file=sys.stderr)
+        print("refusing to write unverified array", file=sys.stderr)
+        return EXIT_FAIL
 
     text = grid_to_text(grid)
     if args.out:
@@ -148,7 +145,7 @@ def cmd_construct(args) -> int:
     param_line = " ".join(f"{key}={params[key]}" for key in sorted(params))
     if args.json:
         print(json.dumps({"family": args.family, "params": params,
-                          "out": args.out, "verified": not args.unchecked}, indent=2))
+                          "out": args.out, "verified": True}, indent=2))
     else:
         print(f"PARAMS family={args.family} {param_line}", file=sys.stderr)
     return EXIT_PASS
@@ -159,13 +156,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.modulus is not None and args.level in ("integer", "support-shifted"):
-        raise _UsageError(f"--modulus is not used at level {args.level}")
+        raise ValueError(f"--modulus is not used at level {args.level}")
     grid = _load_grid(args.path)
-    try:
-        report = _verify_level(grid, args.level, args.s, args.t, args.modulus,
-                               args.p, args.gamma)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = _verify_level(grid, args.level, args.s, args.t, args.modulus, args.p, args.gamma)
     return _emit_report(report, args.json)
 
 
@@ -178,24 +171,16 @@ def cmd_partial_sums(args) -> int:
     modulus = args.modulus if args.modulus is not None else _default_modulus(grid)
     kinds = ("row", "col") if args.lines == "both" else (args.lines[:-1],)
     exit_code = EXIT_PASS
-    try:
-        for kind in kinds:
-            count = grid.m if kind == "row" else grid.n
-            for a in range(count):
-                try:
-                    trace = partial_sums(grid, kind, a, order(grid, kind, a), modulus)
-                except ValueError as exc:
-                    print(f"{kind} {a}: error: {exc}")
-                    exit_code = EXIT_FAIL
-                    continue
-                sums = " ".join(str(v) for v in trace.sums)
-                print(f"{kind} {a}: {sums}")
-                if not trace.all_distinct:
-                    i, j = trace.first_collision()
-                    print(f"{kind} {a}: collision at positions {i},{j} mod {modulus}")
-                    exit_code = EXIT_FAIL
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    for kind in kinds:
+        count = grid.m if kind == "row" else grid.n
+        for a in range(count):
+            trace = partial_sums(grid, kind, a, order(grid, kind, a), modulus)
+            sums = " ".join(str(v) for v in trace.sums)
+            print(f"{kind} {a}: {sums}")
+            if not trace.all_distinct:
+                i, j = trace.first_collision()
+                print(f"{kind} {a}: collision at positions {i},{j} mod {modulus}")
+                exit_code = EXIT_FAIL
     return exit_code
 
 
@@ -205,11 +190,6 @@ def cmd_partial_sums(args) -> int:
 def cmd_decompose(args) -> int:
     grid = _load_grid(args.path)
     modulus = args.modulus if args.modulus is not None else _default_modulus(grid)
-    report = verify_globally_simple(grid, modulus)
-    if not report.overall:
-        print(report.to_text(), end="", file=sys.stderr)
-        print("refusing to decompose: grid is not simple", file=sys.stderr)
-        return EXIT_FAIL
     try:
         rows = decompose.line_system(grid, "row", modulus)
         cols = decompose.line_system(grid, "col", modulus)
@@ -227,14 +207,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_orthogonality(args) -> int:
-    try:
-        first = decompose.read_system(args.first)
-        second = decompose.read_system(args.second)
-        ok, worst, pair = decompose.orthogonality(first, second)
-    except OSError as exc:
-        raise _UsageError(str(exc)) from exc
-    except (ValueError, decompose.NotADecomposition) as exc:
-        raise _UsageError(str(exc)) from exc
+    first = decompose.read_system(args.first)
+    second = decompose.read_system(args.second)
+    ok, worst, pair = decompose.orthogonality(first, second)
     verdict = "ORTHOGONAL" if ok else "NOT ORTHOGONAL"
     if args.json:
         print(json.dumps({"orthogonal": ok, "max_shared_edges": worst,
@@ -255,6 +230,17 @@ def cmd_compatibility(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
+def _modulus(text: str) -> int:
+    """The argparse type of --modulus: an integer M >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"modulus must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heffter",
@@ -271,8 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--eps", type=int)
     p_con.add_argument("--shift", type=int)
     p_con.add_argument("--out", help="output path (default: stdout)")
-    p_con.add_argument("--unchecked", action="store_true",
-                       help="skip the verifier before writing")
     p_con.add_argument("--json", action="store_true")
     p_con.set_defaults(func=cmd_construct)
 
@@ -284,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--t", type=int)
     p_ver.add_argument("--p", type=int)
     p_ver.add_argument("--gamma", type=int)
-    p_ver.add_argument("--modulus", type=int)
+    p_ver.add_argument("--modulus", type=_modulus)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -292,12 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ps.add_argument("path")
     p_ps.add_argument("--lines", default="both", choices=["rows", "cols", "both"])
     p_ps.add_argument("--order", default="natural", choices=["natural", "diagonal"])
-    p_ps.add_argument("--modulus", type=int)
+    p_ps.add_argument("--modulus", type=_modulus)
     p_ps.set_defaults(func=cmd_partial_sums)
 
     p_dec = sub.add_parser("decompose", help="develop row and column cycle systems")
     p_dec.add_argument("path")
-    p_dec.add_argument("--modulus", type=int)
+    p_dec.add_argument("--modulus", type=_modulus)
     p_dec.add_argument("--rows-out", required=True)
     p_dec.add_argument("--cols-out", required=True)
     p_dec.set_defaults(func=cmd_decompose)
@@ -323,10 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except merge.NoParameters as exc:

@@ -1,4 +1,4 @@
-"""Closed-form globally simple integer Heffter arrays H(n;4p), p >= 3.
+"""Closed-form globally simple integer Heffter arrays H(n;4p), p >= 1.
 
 The array is built diagonal by diagonal: exactly the 4p diagonals
 D_0 .. D_{4p-1} are filled, and every entry on D_d is congruent to the same
@@ -18,10 +18,6 @@ class UnsupportedParameters(ValueError):
 
 
 def _check_params(n: int, p: int) -> None:
-    if p in (1, 2):
-        raise UnsupportedParameters(
-            f"k = {4 * p}: arrays with k = 4 and k = 8 are outside this construction"
-        )
     if p < 1:
         raise ValueError("p must be positive")
     if n < 4 * p:
@@ -29,7 +25,7 @@ def _check_params(n: int, p: int) -> None:
 
 
 def build_h4p(n: int, p: int) -> HeffterGrid:
-    """Globally simple integer H(n;4p) for p >= 3 and n >= 4p."""
+    """Globally simple integer H(n;4p) for p >= 1 and n >= 4p."""
     _check_params(n, p)
     k = 4 * p
     entries: dict[tuple[int, int], int] = {}

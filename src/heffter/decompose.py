@@ -53,13 +53,13 @@ def cycle_edges(vertices: Sequence[int]) -> list[Edge]:
     return [(u, v) if u < v else (v, u) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
 
 
-def base_cycle(grid: HeffterGrid, kind: str, a: int, ordering, modulus: int) -> tuple[int, ...]:
-    """The k partial-sum residues of one line as a cycle on Z_M.
+def base_cycle(grid: HeffterGrid, kind: str, a: int, modulus: int) -> tuple[int, ...]:
+    """The k natural-order partial-sum residues of one line as a cycle on Z_M.
 
     Consecutive differences around the cycle are the line's entries, and the
     last vertex is 0 (the line sums to 0 mod M).
     """
-    trace = partial_sums(grid, kind, a, ordering, modulus)
+    trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
     if trace.sums and trace.sums[-1] % modulus != 0:
         raise NotSimple(f"{kind} {a}: total {trace.sums[-1]} not 0 mod {modulus}")
     if not trace.all_distinct:
@@ -135,10 +135,10 @@ def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CycleSystem:
     return CycleSystem(modulus, k, cycles)
 
 
-def line_system(grid: HeffterGrid, kind: str, modulus: int, order=natural_order) -> CycleSystem:
+def line_system(grid: HeffterGrid, kind: str, modulus: int) -> CycleSystem:
     """Develop the base cycles of every row (kind "row") or every column (kind "col")."""
     count = grid.m if kind == "row" else grid.n
-    bases = [base_cycle(grid, kind, a, order(grid, kind, a), modulus) for a in range(count)]
+    bases = [base_cycle(grid, kind, a, modulus) for a in range(count)]
     return develop(bases, modulus)
 
 

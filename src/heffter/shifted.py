@@ -12,20 +12,15 @@ import math
 from .grid import HeffterGrid
 
 
-class NoValidAlpha(ValueError):
-    """No admissible diagonal offset exists for these parameters."""
-
-
-def choose_alpha(n: int, p: int, minimum: int | None = None) -> int:
-    """Smallest alpha in [2p-1, n-1-2p] coprime to n (optionally >= minimum)."""
+def choose_alpha(n: int, p: int) -> int:
+    """Smallest alpha in [2p-1, n-1-2p] coprime to n."""
     if n < 4 * p:
         raise ValueError(f"need n >= 4p, got n = {n} < {4 * p}")
-    lo = 2 * p - 1 if minimum is None else max(2 * p - 1, minimum)
-    hi = n - 1 - 2 * p
+    lo, hi = 2 * p - 1, n - 1 - 2 * p
     for alpha in range(lo, hi + 1):
         if math.gcd(n, alpha) == 1:
             return alpha
-    raise NoValidAlpha(f"no alpha coprime to {n} in [{lo}, {hi}]")
+    raise ValueError(f"no alpha coprime to {n} in [{lo}, {hi}]")
 
 
 def build_shifted(n: int, p: int, gamma: int, alpha: int) -> HeffterGrid:

@@ -95,16 +95,16 @@ def _check_line_sums(grid: HeffterGrid, modulus: int | None, report: Verificatio
                "" if not bad else f"{bad[0][0]} {bad[0][1]} sums to {bad[0][2]}")
 
 
-def _check_simplicity(grid: HeffterGrid, modulus: int, order, label: str,
-                      report: VerificationReport) -> None:
+def _check_simplicity(grid: HeffterGrid, modulus: int, report: VerificationReport) -> None:
+    """Natural-order partial sums of every line pairwise distinct mod ``modulus``."""
     bad = []
     for kind, count in (("row", grid.m), ("col", grid.n)):
         for a in range(count):
-            trace = partial_sums(grid, kind, a, order(grid, kind, a), modulus)
+            trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
             if not trace.all_distinct:
                 i, j = trace.first_collision()
                 bad.append(f"{kind} {a} positions {i},{j} (sum {trace.sums[i]} == {trace.sums[j]} mod {modulus})")
-    report.add(label, not bad, bad[0] if bad else "")
+    report.add(f"natural-simple-mod-{modulus}", not bad, bad[0] if bad else "")
 
 
 def verify_heffter(grid: HeffterGrid, s: int | None = None, t: int | None = None,
@@ -146,10 +146,9 @@ def verify_globally_simple(grid: HeffterGrid, modulus: int | None = None,
             raise ValueError("rows are not uniformly filled; pass modulus explicitly")
         modulus = 2 * grid.n * k + 1
     report = VerificationReport()
-    _check_simplicity(grid, modulus, natural_order, f"natural-simple-mod-{modulus}", report)
+    _check_simplicity(grid, modulus, report)
     if also_mod_plus_one:
-        _check_simplicity(grid, modulus + 1, natural_order,
-                          f"natural-simple-mod-{modulus + 1}", report)
+        _check_simplicity(grid, modulus + 1, report)
     return report
 
 
@@ -160,6 +159,10 @@ def verify_support_shifted(grid: HeffterGrid, p: int, gamma: int) -> Verificatio
     exclusivity; P3: exact zero line sums; P4: distinct natural partial sums
     mod 2(4p+gamma)n+1.  gamma=0 degenerates to an integer H(n;4p).
     """
+    if p < 1:
+        raise ValueError("p must be positive")
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
     if not grid.is_square:
         raise ValueError("support shifted arrays are square")
     n = grid.n
@@ -169,7 +172,7 @@ def verify_support_shifted(grid: HeffterGrid, p: int, gamma: int) -> Verificatio
     _check_fills(grid, k, k, report)
     _check_support(grid, gamma * n + 1, (k + gamma) * n, report)
     _check_line_sums(grid, None, report)
-    _check_simplicity(grid, M, natural_order, f"natural-simple-mod-{M}", report)
+    _check_simplicity(grid, M, report)
     return report
 
 

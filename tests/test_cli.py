@@ -205,6 +205,7 @@ def test_construction_failure_exit_code(capsys):
     (("--family", "h3", "--n", "8", "--alpha", "3"), "--alpha"),
     (("--family", "shifted", "--n", "17", "--p", "3", "--gamma", "3", "--eps", "2"), "--eps"),
     (("--family", "h4p3", "--n", "17", "--p", "3", "--gamma", "3"), "--gamma"),
+    (("--family", "h3", "--n", "8", "--p", "3", "--alpha", "3"), "--p, --alpha"),
 ])
 def test_construct_refuses_flags_the_family_ignores(capsys, argv, flags):
     code, out, err = run(capsys, "construct", *argv)
@@ -266,3 +267,49 @@ def test_verify_globally_simple_checks_line_sums_mod_modulus(capsys, data_dir):
     assert code == 0
     assert "CHECK line-sums-mod-411 PASS" in out and "CHECK natural-simple-mod-411 PASS" in out
     assert "409" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--family", "h4p", "--n", "12", "--p", "3", "--out", "{tmp}/absent/g.txt"),
+    ("decompose", "{data}/h17_12.txt", "--rows-out", "{tmp}/absent/r.txt",
+     "--cols-out", "{tmp}/c.txt"),
+    ("decompose", "{data}/h17_12.txt", "--rows-out", "{tmp}/r.txt",
+     "--cols-out", "{tmp}/absent/c.txt"),
+    ("orthogonality", "{tmp}/absent.txt", "{tmp}/absent.txt"),
+    ("verify", "{data}/h17_12.txt", "--modulus", "0"),
+    ("verify", "{data}/h17_12.txt", "--modulus", "-409"),
+    ("partial-sums", "{data}/h17_12.txt", "--modulus", "0"),
+    ("partial-sums", "{data}/h17_12.txt", "--modulus", "-409"),
+    ("decompose", "{data}/h17_12.txt", "--modulus", "0",
+     "--rows-out", "{tmp}/r.txt", "--cols-out", "{tmp}/c.txt"),
+    ("decompose", "{data}/h17_12.txt", "--modulus", "-409",
+     "--rows-out", "{tmp}/r.txt", "--cols-out", "{tmp}/c.txt"),
+    ("partial-sums", "{data}/h6_12_8_4.txt", "--order", "diagonal", "--modulus", "97"),
+    ("construct", "--family", "h3", "--n", "8", "--p", "3"),
+    ("verify", "{data}/h17_12_3.txt", "--level", "support-shifted", "--p", "3", "--gamma", "-1"),
+], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
+        "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
+        "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
+        "construct-h3-p", "verify-gamma-neg"])
+def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
+    argv = [arg.format(tmp=tmp_path, data=data_dir) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.strip()
+
+
+def test_decompose_reports_a_non_simple_grid_once(tmp_path, capsys, data_dir):
+    # no row of h6_12_8_4 has distinct partial sums mod 97
+    rows, cols = tmp_path / "rows.txt", tmp_path / "cols.txt"
+    code, out, err = run(capsys, "decompose", str(data_dir / "h6_12_8_4.txt"),
+                         "--modulus", "97", "--rows-out", str(rows), "--cols-out", str(cols))
+    assert code == 1 and out == ""
+    assert err.startswith("decomposition failed: row 0: partial sums collide at positions ")
+    assert len(err.splitlines()) == 1
+    assert not rows.exists() and not cols.exists()
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_construct_h4p_covers_k_4_and_8(tmp_path, capsys, p):
+    code, out, err = run(capsys, "construct", "--family", "h4p", "--n", "9", "--p", p,
+                         "--out", str(tmp_path / "g.txt"))
+    assert code == 0 and out == "" and f"k={4 * int(p)}" in err

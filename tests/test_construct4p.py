@@ -1,6 +1,6 @@
 import pytest
 
-from heffter.construct4p import UnsupportedParameters, build_h4p, expected_diagonal_support
+from heffter.construct4p import build_h4p, expected_diagonal_support
 from heffter.gridio import grid_to_text
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
 
@@ -20,10 +20,17 @@ def test_h17_16_spot_cells():
     assert g.entry(0, 2) == 64
 
 
-def test_rejects_small_k():
+def test_small_k_arrays_verify():
+    # case (a) covers every k divisible by 4, so k = 4 and k = 8 use the same formulas
     for p in (1, 2):
-        with pytest.raises(UnsupportedParameters):
-            build_h4p(20, p)
+        for n in range(4 * p, 61):
+            g = build_h4p(n, p)
+            assert verify_heffter(g).overall and verify_integer(g).overall, (n, p)
+            assert verify_globally_simple(g).overall, (n, p)
+            for d in range(4 * p):
+                _, expected = expected_diagonal_support(n, p, d)
+                actual = frozenset(abs(g.diagonal_entry(d, "row", a)) for a in range(n))
+                assert actual == expected, (n, p, d)
 
 
 def test_rejects_narrow_grid():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from heffter.gridio import grid_to_text
-from heffter.shifted import NoValidAlpha, build_shifted, choose_alpha
+from heffter.shifted import build_shifted, choose_alpha
 from heffter.verify import verify_support_shifted
 
 
@@ -14,15 +14,6 @@ def test_reproduces_h17_12_3(h17_12_3):
 def test_choose_alpha_smallest_coprime():
     assert choose_alpha(17, 3) == 5
     assert choose_alpha(20, 2) == 3
-    assert choose_alpha(17, 3, minimum=6) == 6
-
-
-def test_choose_alpha_none_available():
-    # n = 12, p = 3: the window [5, 5] holds only 5, but gcd(12,5)=1, so pick
-    # a case with no coprime: n = 30, p = 7 gives window [13, 15]; 13 works.
-    # Force emptiness with minimum beyond the window.
-    with pytest.raises((NoValidAlpha, ValueError)):
-        choose_alpha(12, 3, minimum=6)
 
 
 def test_alpha_range_enforced():

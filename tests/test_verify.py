@@ -137,3 +137,9 @@ def test_compatibility_rejects_bad_ordering():
 
 def test_empty_report_is_pass():
     assert VerificationReport().overall
+
+
+@pytest.mark.parametrize("p,gamma", [(3, -1), (0, 3)])
+def test_support_shifted_refuses_negative_gamma_and_nonpositive_p(h17_12_3, p, gamma):
+    with pytest.raises(ValueError):
+        verify_support_shifted(h17_12_3, p, gamma)
