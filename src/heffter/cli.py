@@ -9,13 +9,20 @@ every ValueError or OSError a command raises, such as a malformed or
 unreadable input file or an unwritable output path, print an error to stderr
 and nothing to stdout.  ``construct`` refuses --p, --gamma, --alpha,
 --eps and --shift for a family that does not read them, and verifies every
-array before it writes it.  Identical invocations print identical output.
+array before it writes it.  ``verify`` infers s and t from the grid's fills.
+Where --modulus is optional (``verify --level globally-simple``,
+``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
+with k fills in every row, and any other grid is refused with exit 2.
+``decompose`` leaves no partial output: when it cannot write the cols file
+it removes the rows file it wrote.  Identical invocations print identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import construct4p, decompose, h3, merge, shifted
@@ -24,6 +31,7 @@ from .gridio import grid_to_text, read_grid
 from .verify import (
     VerificationReport,
     compatibility_check,
+    default_modulus,
     verify_globally_simple,
     verify_heffter,
     verify_integer,
@@ -58,13 +66,6 @@ def _load_grid(path: str) -> HeffterGrid:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _default_modulus(grid: HeffterGrid) -> int:
-    counts = grid.fills_per_row()
-    if not grid.is_square or len(set(counts)) != 1:
-        raise ValueError("grid has no default modulus; pass --modulus")
-    return 2 * grid.n * counts[0] + 1
 
 
 def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | None = None,
@@ -158,7 +159,7 @@ def cmd_verify(args) -> int:
     if args.modulus is not None and args.level in ("integer", "support-shifted"):
         raise ValueError(f"--modulus is not used at level {args.level}")
     grid = _load_grid(args.path)
-    report = _verify_level(grid, args.level, args.s, args.t, args.modulus, args.p, args.gamma)
+    report = _verify_level(grid, args.level, modulus=args.modulus, p=args.p, gamma=args.gamma)
     return _emit_report(report, args.json)
 
 
@@ -168,7 +169,7 @@ def cmd_verify(args) -> int:
 def cmd_partial_sums(args) -> int:
     grid = _load_grid(args.path)
     order = natural_order if args.order == "natural" else diagonal_order
-    modulus = args.modulus if args.modulus is not None else _default_modulus(grid)
+    modulus = args.modulus if args.modulus is not None else default_modulus(grid)
     kinds = ("row", "col") if args.lines == "both" else (args.lines[:-1],)
     exit_code = EXIT_PASS
     for kind in kinds:
@@ -177,8 +178,8 @@ def cmd_partial_sums(args) -> int:
             trace = partial_sums(grid, kind, a, order(grid, kind, a), modulus)
             sums = " ".join(str(v) for v in trace.sums)
             print(f"{kind} {a}: {sums}")
-            if not trace.all_distinct:
-                i, j = trace.first_collision()
+            if trace.collision is not None:
+                i, j = trace.collision
                 print(f"{kind} {a}: collision at positions {i},{j} mod {modulus}")
                 exit_code = EXIT_FAIL
     return exit_code
@@ -189,7 +190,7 @@ def cmd_partial_sums(args) -> int:
 
 def cmd_decompose(args) -> int:
     grid = _load_grid(args.path)
-    modulus = args.modulus if args.modulus is not None else _default_modulus(grid)
+    modulus = args.modulus if args.modulus is not None else default_modulus(grid)
     try:
         rows = decompose.line_system(grid, "row", modulus)
         cols = decompose.line_system(grid, "col", modulus)
@@ -197,7 +198,11 @@ def cmd_decompose(args) -> int:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     decompose.write_system(args.rows_out, rows)
-    decompose.write_system(args.cols_out, cols)
+    try:
+        decompose.write_system(args.cols_out, cols)
+    except OSError:
+        os.remove(args.rows_out)  # a failed run leaves no partial output
+        raise
     for label, system in (("rows", rows), ("cols", cols)):
         status = "complete" if system.is_complete else f"missing {system.missing_edge_count()} edges"
         print(f"{label}: {len(system.cycles)} cycles of length {system.k} on Z_{modulus}, {status}")
@@ -264,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("path")
     p_ver.add_argument("--level", default="heffter",
                        choices=["heffter", "integer", "globally-simple", "support-shifted"])
-    p_ver.add_argument("--s", type=int)
-    p_ver.add_argument("--t", type=int)
     p_ver.add_argument("--p", type=int)
     p_ver.add_argument("--gamma", type=int)
     p_ver.add_argument("--modulus", type=_modulus)

@@ -13,10 +13,6 @@ from __future__ import annotations
 from .grid import HeffterGrid
 
 
-class UnsupportedParameters(ValueError):
-    """Parameter combination the construction does not cover."""
-
-
 def _check_params(n: int, p: int) -> None:
     if p < 1:
         raise ValueError("p must be positive")
@@ -33,15 +29,15 @@ def build_h4p(n: int, p: int) -> HeffterGrid:
     def put(r: int, x: int, e: int) -> None:
         entries[(r % n, x % n)] = e
 
-    if p % 2 == 1:
-        I = range((p - 1) // 2)
-        for x in range(n):
-            xp = (x + 1) % n
-            for i in I:
-                put(4 * i + x, x, 4 * i + 1 + k * x)
-                put(4 * i + 1 + x, x, -(4 * i + 2) - k * xp)
-                put(4 * i + 2 + x, x, -(k - (4 * i + 3)) - k * x)
-                put(4 * i + 3 + x, x, k - (4 * i + 4) + k * xp)
+    I = range((p - 1) // 2)
+    for x in range(n):
+        xp = (x + 1) % n
+        for i in I:
+            put(4 * i + x, x, 4 * i + 1 + k * x)
+            put(4 * i + 1 + x, x, -(4 * i + 2) - k * xp)
+            put(4 * i + 2 + x, x, -(k - (4 * i + 3)) - k * x)
+            put(4 * i + 3 + x, x, k - (4 * i + 4) + k * xp)
+        if p % 2 == 1:
             put(2 * p - 2 + x, x, 2 * p - 1 + k * x)
             put(2 * p - 1 + x, x, -2 * p - k * xp)
             for i in I:
@@ -49,17 +45,7 @@ def build_h4p(n: int, p: int) -> HeffterGrid:
                 put(2 * p + 4 * i + 1 + x, x, 2 * p - 3 - 4 * i + k * xp)
                 put(2 * p + 4 * i + 2 + x, x, 2 * p + 4 + 4 * i + k * x)
                 put(2 * p + 4 * i + 3 + x, x, -(2 * p + 5 + 4 * i) - k * xp)
-            put(k - 2 + x, x, -(2 * p + 1 + k * x))
-            put(k - 1 + x, x, k + k * xp)
-    else:
-        I = range((p - 2) // 2)
-        for x in range(n):
-            xp = (x + 1) % n
-            for i in I:
-                put(4 * i + x, x, 4 * i + 1 + k * x)
-                put(4 * i + 1 + x, x, -(4 * i + 2) - k * xp)
-                put(4 * i + 2 + x, x, -(k - (4 * i + 3)) - k * x)
-                put(4 * i + 3 + x, x, k - (4 * i + 4) + k * xp)
+        else:
             put(2 * p - 4 + x, x, 2 * p - 3 + k * x)
             put(2 * p - 3 + x, x, -2 * p + 2 - k * xp)
             for i in I:
@@ -71,8 +57,8 @@ def build_h4p(n: int, p: int) -> HeffterGrid:
             put(k - 5 + x, x, 3 + k * xp)
             put(k - 4 + x, x, k - 2 + k * x)
             put(k - 3 + x, x, -(k - 1) - k * xp)
-            put(k - 2 + x, x, -(2 * p + 1 + k * x))
-            put(k - 1 + x, x, k + k * xp)
+        put(k - 2 + x, x, -(2 * p + 1 + k * x))
+        put(k - 1 + x, x, k + k * xp)
     return HeffterGrid(n, n, entries)
 
 

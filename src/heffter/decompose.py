@@ -62,8 +62,8 @@ def base_cycle(grid: HeffterGrid, kind: str, a: int, modulus: int) -> tuple[int,
     trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
     if trace.sums and trace.sums[-1] % modulus != 0:
         raise NotSimple(f"{kind} {a}: total {trace.sums[-1]} not 0 mod {modulus}")
-    if not trace.all_distinct:
-        i, j = trace.first_collision()
+    if trace.collision is not None:
+        i, j = trace.collision
         raise NotSimple(f"{kind} {a}: partial sums collide at positions {i},{j}")
     return trace.residues
 

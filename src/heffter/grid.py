@@ -8,6 +8,7 @@ done modulo the grid order while entries are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Literal, Mapping, Sequence
 
 Cell = tuple[int, int]
@@ -56,9 +57,6 @@ class HeffterGrid:
     @property
     def is_square(self) -> bool:
         return self.m == self.n
-
-    def entry(self, i: int, j: int) -> int | None:
-        return self.entries.get((i, j))
 
     def _line(self, kind: LineKind, a: int) -> tuple[Cell, ...]:
         lines = self._rows if kind == "row" else self._cols
@@ -134,38 +132,16 @@ def diagonal_order(grid: HeffterGrid, kind: LineKind, a: int) -> list[Cell]:
 
 @dataclass(frozen=True)
 class PartialSumTrace:
-    """Running prefix sums of one line under a given ordering.
+    """Condition (1) data of one line under a given ordering.
 
-    ``sums`` are exact integers and ``residues`` their residues in [0, M).
+    ``sums`` are the exact prefix sums, ``residues`` their residues in
+    [0, M) and ``collision`` the lexicographically least pair of positions
+    with equal residues, or None when the residues are pairwise distinct.
     """
 
-    kind: LineKind
-    index: int
-    cells: tuple[Cell, ...]
-    entries: tuple[int, ...]
     sums: tuple[int, ...]
-    modulus: int
-
-    @property
-    def residues(self) -> tuple[int, ...]:
-        return tuple(s % self.modulus for s in self.sums)
-
-    def first_collision(self) -> tuple[int, int] | None:
-        """Lexicographically smallest position pair with equal residues."""
-        seen: dict[int, int] = {}
-        best: tuple[int, int] | None = None
-        for pos, r in enumerate(self.residues):
-            if r in seen:
-                pair = (seen[r], pos)
-                if best is None or pair < best:
-                    best = pair
-            else:
-                seen[r] = pos
-        return best
-
-    @property
-    def all_distinct(self) -> bool:
-        return len(set(self.residues)) == len(self.residues)
+    residues: tuple[int, ...]
+    collision: tuple[int, int] | None
 
 
 def partial_sums(
@@ -178,13 +154,14 @@ def partial_sums(
     """Prefix sums of one line's entries visited in the given cell order."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    line = set(grid.line_cells(kind, a))
-    if set(ordering) != line or len(ordering) != len(line):
+    if sorted(ordering) != grid.line_cells(kind, a):
         raise ValueError(f"ordering does not cover the filled cells of {kind} {a}")
-    entries = tuple(grid.entries[c] for c in ordering)
-    sums = []
-    s = 0
-    for e in entries:
-        s += e
-        sums.append(s)
-    return PartialSumTrace(kind, a, tuple(ordering), entries, tuple(sums), modulus)
+    sums = tuple(accumulate(grid.entries[c] for c in ordering))
+    residues = tuple(s % modulus for s in sums)
+    collision = None
+    if len(set(residues)) != len(residues):
+        # (first position of r_j, j) is the least equal pair ending at j
+        first: dict[int, int] = {}
+        collision = min((first[r], j) for j, r in enumerate(residues)
+                        if first.setdefault(r, j) != j)
+    return PartialSumTrace(sums, residues, collision)

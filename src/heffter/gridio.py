@@ -29,17 +29,13 @@ _ENTRY = re.compile(r"[+-]?[0-9]+")
 
 
 def grid_to_text(grid: HeffterGrid) -> str:
-    counts_r = grid.fills_per_row()
-    counts_c = grid.fills_per_col()
-    s = max(counts_r, default=0)
-    t = max(counts_c, default=0)
+    s = max(grid.fills_per_row(), default=0)
+    t = max(grid.fills_per_col(), default=0)
+    table = [[""] * grid.n for _ in range(grid.m)]
+    for (i, j), e in grid.entries.items():
+        table[i][j] = str(e)
     lines = [f"#heffter m={grid.m} n={grid.n} s={s} t={t}"]
-    for i in range(grid.m):
-        fields = []
-        for j in range(grid.n):
-            e = grid.entry(i, j)
-            fields.append("" if e is None else str(e))
-        lines.append(",".join(fields))
+    lines.extend(",".join(row) for row in table)
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct4p import UnsupportedParameters
 from .grid import HeffterGrid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .shifted import build_shifted
@@ -76,7 +75,7 @@ def build_h4p3(
     if n < 4 * p + 3:
         raise ValueError(f"need n >= 4p+3, got n = {n} < {4 * p + 3}")
     if n % 4 not in (0, 1):
-        raise UnsupportedParameters(f"n = {n}: need n congruent to 0 or 1 mod 4")
+        raise ValueError(f"n = {n}: need n congruent to 0 or 1 mod 4")
     if shift is not None and not 0 <= shift < n:
         raise ValueError(f"shift = {shift} outside [0, {n})")
 
@@ -93,7 +92,7 @@ def build_h4p3(
     else:
         pair = _candidates(n, p, eps, alpha)
         if pair is None:
-            raise UnsupportedParameters(
+            raise ValueError(
                 f"no admissible (eps, alpha) for n={n}, p={p}: for n = 0 mod 4 the merge "
                 f"needs an eps coprime to n with 3 <= eps <= (n-4p)/2, so n well above k"
             )

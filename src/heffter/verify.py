@@ -101,10 +101,19 @@ def _check_simplicity(grid: HeffterGrid, modulus: int, report: VerificationRepor
     for kind, count in (("row", grid.m), ("col", grid.n)):
         for a in range(count):
             trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
-            if not trace.all_distinct:
-                i, j = trace.first_collision()
+            if trace.collision is not None:
+                i, j = trace.collision
                 bad.append(f"{kind} {a} positions {i},{j} (sum {trace.sums[i]} == {trace.sums[j]} mod {modulus})")
     report.add(f"natural-simple-mod-{modulus}", not bad, bad[0] if bad else "")
+
+
+def default_modulus(grid: HeffterGrid) -> int:
+    """2nk+1 for a square grid with k fills in every row."""
+    k = _uniform_fill(grid.fills_per_row())
+    if not grid.is_square or k is None:
+        why = "it is not square" if not grid.is_square else "its rows are not uniformly filled"
+        raise ValueError(f"grid has no default modulus: {why}; pass --modulus")
+    return 2 * grid.n * k + 1
 
 
 def verify_heffter(grid: HeffterGrid, s: int | None = None, t: int | None = None,
@@ -135,16 +144,11 @@ def verify_globally_simple(grid: HeffterGrid, modulus: int | None = None,
                            also_mod_plus_one: bool = False) -> VerificationReport:
     """Natural row and column orderings have pairwise distinct partial sums mod M.
 
-    M defaults to 2nk+1 for a square grid with k fills per line.  With
-    ``also_mod_plus_one`` the sums are additionally checked mod M+1.
+    M defaults to ``default_modulus(grid)``.  With ``also_mod_plus_one`` the
+    sums are additionally checked mod M+1.
     """
     if modulus is None:
-        if not grid.is_square:
-            raise ValueError("default modulus requires a square grid")
-        k = _uniform_fill(grid.fills_per_row())
-        if k is None:
-            raise ValueError("rows are not uniformly filled; pass modulus explicitly")
-        modulus = 2 * grid.n * k + 1
+        modulus = default_modulus(grid)
     report = VerificationReport()
     _check_simplicity(grid, modulus, report)
     if also_mod_plus_one:
@@ -176,34 +180,25 @@ def verify_support_shifted(grid: HeffterGrid, p: int, gamma: int) -> Verificatio
     return report
 
 
-def compatibility_check(
-    grid: HeffterGrid,
-    row_orderings: list[list] | None = None,
-    col_orderings: list[list] | None = None,
-) -> tuple[bool, list[int]]:
-    """Compose the row and column cyclic orderings and inspect the cycle type.
+def compatibility_check(grid: HeffterGrid) -> tuple[bool, list[int]]:
+    """Compose the natural row and column cyclic orderings and inspect the cycle type.
 
-    Each ordering is a cyclic successor map on one line's filled cells; the
-    orderings are compatible when the composition of all row cycles with all
-    column cycles is a single cycle through every filled cell.  Returns the
-    verdict and the cycle type (sorted cycle lengths) of the composition.
+    Each line's ordering is the cyclic successor map on its filled cells in
+    natural order; the orderings are compatible when the composition of all
+    row cycles with all column cycles is a single cycle through every filled
+    cell.  Returns the verdict and the cycle type (sorted cycle lengths) of
+    the composition.
     """
-    if row_orderings is None:
-        row_orderings = [natural_order(grid, "row", a) for a in range(grid.m)]
-    if col_orderings is None:
-        col_orderings = [natural_order(grid, "col", a) for a in range(grid.n)]
 
-    def successor_map(orderings, kind):
+    def successor_map(kind, count):
         succ = {}
-        for idx, cells in enumerate(orderings):
-            if set(cells) != set(grid.line_cells(kind, idx)):
-                raise ValueError(f"ordering {idx} does not cover its line")
-            for pos, cell in enumerate(cells):
-                succ[cell] = cells[(pos + 1) % len(cells)]
+        for a in range(count):
+            cells = grid.line_cells(kind, a)
+            succ.update(zip(cells, cells[1:] + cells[:1]))
         return succ
 
-    omega_r = successor_map(row_orderings, "row")
-    omega_c = successor_map(col_orderings, "col")
+    omega_r = successor_map("row", grid.m)
+    omega_c = successor_map("col", grid.n)
 
     composed = {cell: omega_r[omega_c[cell]] for cell in grid.entries}
     unvisited = set(composed)

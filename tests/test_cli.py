@@ -269,6 +269,14 @@ def test_verify_globally_simple_checks_line_sums_mod_modulus(capsys, data_dir):
     assert "409" not in out
 
 
+# grids without a square shape or uniform rows, refused the same way by every command
+NO_DEFAULT_MODULUS = [
+    ("partial-sums", "{data}/h6_12_8_4.txt"),
+    ("decompose", "{data}/h6_12_8_4.txt", "--rows-out", "{tmp}/r.txt", "--cols-out", "{tmp}/c.txt"),
+    ("verify", "{data}/h6_12_8_4.txt", "--level", "globally-simple"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--family", "h4p", "--n", "12", "--p", "3", "--out", "{tmp}/absent/g.txt"),
     ("decompose", "{data}/h17_12.txt", "--rows-out", "{tmp}/absent/r.txt",
@@ -287,14 +295,28 @@ def test_verify_globally_simple_checks_line_sums_mod_modulus(capsys, data_dir):
     ("partial-sums", "{data}/h6_12_8_4.txt", "--order", "diagonal", "--modulus", "97"),
     ("construct", "--family", "h3", "--n", "8", "--p", "3"),
     ("verify", "{data}/h17_12_3.txt", "--level", "support-shifted", "--p", "3", "--gamma", "-1"),
+    ("verify", "{data}/h17_12.txt", "--s", "-3", "--t", "-3"),
+    *NO_DEFAULT_MODULUS,
 ], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
         "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
         "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
-        "construct-h3-p", "verify-gamma-neg"])
+        "construct-h3-p", "verify-gamma-neg", "verify-s-t", "partial-sums-no-default-modulus",
+        "decompose-no-default-modulus", "verify-no-default-modulus"])
 def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
     argv = [arg.format(tmp=tmp_path, data=data_dir) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.strip()
+    # no partial output either: decompose-cols-out must not leave its rows file
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_default_modulus_refusal(tmp_path, capsys, data_dir):
+    errors = set()
+    for argv in NO_DEFAULT_MODULUS:
+        code, _, err = run(capsys, *[arg.format(tmp=tmp_path, data=data_dir) for arg in argv])
+        assert code == 2
+        errors.add(err)
+    assert errors == {"error: grid has no default modulus: it is not square; pass --modulus\n"}
 
 
 def test_decompose_reports_a_non_simple_grid_once(tmp_path, capsys, data_dir):

@@ -15,9 +15,9 @@ def test_reproduces_h17_16(h17_16):
 
 def test_h17_16_spot_cells():
     g = build_h4p(17, 4)
-    assert g.entry(0, 0) == 1
-    assert g.entry(1, 0) == -18
-    assert g.entry(0, 2) == 64
+    assert g.entries.get((0, 0)) == 1
+    assert g.entries.get((1, 0)) == -18
+    assert g.entries.get((0, 2)) == 64
 
 
 def test_small_k_arrays_verify():

@@ -25,8 +25,8 @@ def test_rejects_bad_dimensions():
 
 def test_entry_lookup():
     g = small_grid()
-    assert g.entry(0, 0) == 1
-    assert g.entry(0, 2) is None
+    assert g.entries.get((0, 0)) == 1
+    assert g.entries.get((0, 2)) is None
     assert g.entries.get((0, 2), 0) == 0
 
 
@@ -82,7 +82,7 @@ def test_diagonal_cells_cover_grid():
     cells = [((i + d) % n, i) for d in range(n) for i in range(n)]
     assert len(set(cells)) == n * n
     g = HeffterGrid(n, n, {cell: i + 1 for i, cell in enumerate(cells)})
-    assert all(g.diagonal_entry(2, "col", i) == g.entry((i + 2) % n, i) for i in range(n))
+    assert all(g.diagonal_entry(2, "col", i) == g.entries.get(((i + 2) % n, i)) for i in range(n))
     with pytest.raises(ValueError):
         g.diagonal_entry(n, "col", 0)
 
@@ -139,7 +139,7 @@ def test_partial_sums_exact_and_residues():
     assert trace.sums == (-3, 1)
     assert trace.residues == (4, 1)
     assert tuple(r - 7 if r > 3 else r for r in trace.residues) == (-3, 1)
-    assert trace.all_distinct
+    assert trace.collision is None
 
 
 def test_partial_sums_rejects_wrong_ordering():
@@ -152,8 +152,8 @@ def test_first_collision_is_smallest_pair():
     g = HeffterGrid(1, 4, {(0, 0): 5, (0, 1): 7, (0, 2): -7, (0, 3): 7})
     trace = partial_sums(g, "row", 0, natural_order(g, "row", 0), 100)
     assert trace.sums == (5, 12, 5, 12)
-    assert trace.first_collision() == (0, 2)
-    assert not trace.all_distinct and trace.first_collision() == (0, 2)
+    assert trace.collision == (0, 2)
+    assert trace.collision is not None and trace.collision == (0, 2)
 
 
 def test_grid_is_immutable():

@@ -49,9 +49,9 @@ def test_frozen_triples(b, c, d):
     n = len(c)
     g = build_h3_base(n)
     assert len(g.entries) == 3 * n
-    assert [g.entry(a, (a + 1) % n) for a in range(n)] == b
-    assert [g.entry(a, a) for a in range(n)] == c
-    assert [g.entry(a, (a - 1) % n) for a in range(n)] == d
+    assert [g.entries.get((a, (a + 1) % n)) for a in range(n)] == b
+    assert [g.entries.get((a, a)) for a in range(n)] == c
+    assert [g.entries.get((a, (a - 1) % n)) for a in range(n)] == d
 
 
 def test_deterministic():

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from heffter import merge
-from heffter.construct4p import UnsupportedParameters
 from heffter.gridio import grid_to_text
 from heffter.merge import MergeParams, NoParameters, build_h4p3
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
@@ -63,7 +62,7 @@ def test_n_4p_plus_4_fails_before_the_search(monkeypatch, n, p):
         raise AssertionError("the H(n;3) build was reached")
 
     monkeypatch.setattr(merge, "build_h3_base", no_build)
-    with pytest.raises(UnsupportedParameters):
+    with pytest.raises(ValueError, match="no admissible"):
         build_h4p3(n, p)
 
 
@@ -97,7 +96,7 @@ def test_every_theorem_order_up_to_61_uses_the_closed_form():
         for p in range(1, (n - 3) // 4 + 1):
             pair = closed_form_pair(n, p)
             if pair is None:
-                with pytest.raises(UnsupportedParameters):
+                with pytest.raises(ValueError, match="no admissible"):
                     build_h4p3(n, p)
                 continue
             _, params = build_h4p3(n, p)
@@ -130,7 +129,7 @@ def test_every_theorem_order_up_to_201():
             continue
         for p in range(1, (n - 3) // 4 + 1):
             if n % 4 == 0 and not merge._candidates(n, p, None, None):
-                with pytest.raises(UnsupportedParameters):
+                with pytest.raises(ValueError, match="no admissible"):
                     build_h4p3(n, p)
                 continue
             grid, params = build_h4p3(n, p)

@@ -9,8 +9,12 @@ as the benchmark does.
 
 import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 from heffter import merge
+from heffter.cli import main
 from heffter.decompose import develop, write_system
 from heffter.gridio import grid_from_text
 
@@ -80,3 +84,30 @@ def test_one_merge_calls_each_traced_merge_site_once(monkeypatch):
         monkeypatch.setattr(merge, attr, counted(attr, getattr(merge, attr)))
     merge.build_h4p3(28, 3)
     assert calls == dict.fromkeys(attrs, 1)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", SPANS.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_requests_keep_their_exit_codes(tmp_path, capsys, seed):
+    # a CLI change that turns benchmark traffic into failures must fail here,
+    # not only in the benchmark's failed share
+    workloads = _load_workloads()
+    path = str(tmp_path / "grid.txt")
+    for workload in workloads.WORKLOADS:
+        for job in workloads.make_pass(workload, seed, 0):
+            flags = dict(zip(job.construct[::2], job.construct[1::2]))
+            # H(4p+4;4p+3) has no admissible (eps, alpha), a usage error
+            refused = flags["--family"] == "h4p3" and int(flags["--n"]) == 4 * int(flags["--p"]) + 4
+            code = main(["construct", *job.construct, "--out", path])
+            out, _ = capsys.readouterr()
+            assert (code, out) == ((2, "") if refused else (0, "")), (workload, job.construct)
+            if not refused:
+                assert main(["verify", path, *job.verify]) == 0, (workload, job.construct)
+                capsys.readouterr()

@@ -35,16 +35,28 @@ def test_rotation_shifts_residues_by_constant(values, modulus, data):
     expected = tuple((base.residues[(r + i) % len(cells)] + shift) % modulus
                      for i in range(len(cells)))
     assert rot.residues == expected
-    assert base.all_distinct == rot.all_distinct
+    assert (base.collision is None) == (rot.collision is None)
 
 
 @given(zero_sum_lists(), st.integers(3, 600))
 def test_reversal_preserves_simplicity(values, modulus):
     grid = line_grid(values)
     cells = natural_order(grid, "row", 0)
-    forward = partial_sums(grid, "row", 0, cells, modulus).all_distinct
-    backward = partial_sums(grid, "row", 0, list(reversed(cells)), modulus).all_distinct
+    forward = partial_sums(grid, "row", 0, cells, modulus).collision is None
+    backward = partial_sums(grid, "row", 0, list(reversed(cells)), modulus).collision is None
     assert forward == backward
+
+
+@given(st.lists(st.integers(-50, 50).filter(bool), min_size=1, max_size=12),
+       st.integers(1, 40), st.data())
+def test_trace_residues_and_least_collision(values, modulus, data):
+    grid = line_grid(values)
+    cells = data.draw(st.permutations(natural_order(grid, "row", 0)))
+    trace = partial_sums(grid, "row", 0, cells, modulus)
+    assert trace.residues == tuple(s % modulus for s in trace.sums)
+    pairs = [(i, j) for j in range(len(cells)) for i in range(j)
+             if trace.residues[i] == trace.residues[j]]
+    assert trace.collision == min(pairs, default=None)
 
 
 @given(st.integers(3, 6), st.integers(0, 20))
