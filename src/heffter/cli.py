@@ -9,7 +9,8 @@ every ValueError or OSError a command raises, such as a malformed or
 unreadable input file or an unwritable output path, print an error to stderr
 and nothing to stdout.  ``construct`` refuses --p, --gamma, --alpha,
 --eps and --shift for a family that does not read them, and verifies every
-array before it writes it.  ``verify`` infers s and t from the grid's fills.
+array before it writes it.  ``verify`` refuses --modulus, --p and --gamma at
+a level that does not read them, and infers s and t from the grid's fills.
 Where --modulus is optional (``verify --level globally-simple``,
 ``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
 with k fills in every row, and any other grid is refused with exit 2.
@@ -155,9 +156,15 @@ def cmd_construct(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
+# the optional flags each verify level reads
+_LEVEL_FLAGS = {"heffter": ("modulus",), "integer": (), "globally-simple": ("modulus",),
+                "support-shifted": ("p", "gamma")}
+
+
 def cmd_verify(args) -> int:
-    if args.modulus is not None and args.level in ("integer", "support-shifted"):
-        raise ValueError(f"--modulus is not used at level {args.level}")
+    for flag in ("modulus", "p", "gamma"):
+        if getattr(args, flag) is not None and flag not in _LEVEL_FLAGS[args.level]:
+            raise ValueError(f"--{flag} is not used at level {args.level}")
     grid = _load_grid(args.path)
     report = _verify_level(grid, args.level, modulus=args.modulus, p=args.p, gamma=args.gamma)
     return _emit_report(report, args.json)
@@ -205,7 +212,7 @@ def cmd_decompose(args) -> int:
         raise
     for label, system in (("rows", rows), ("cols", cols)):
         status = "complete" if system.is_complete else f"missing {system.missing_edge_count()} edges"
-        print(f"{label}: {len(system.cycles)} cycles of length {system.k} on Z_{modulus}, {status}")
+        print(f"{label}: {system.count} cycles of length {system.k} on Z_{modulus}, {status}")
     if not (rows.is_complete and cols.is_complete):
         return EXIT_FAIL
     return EXIT_PASS

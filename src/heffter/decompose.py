@@ -12,18 +12,35 @@ and they decompose K_M exactly when those differences also cover every
 nonzero residue.  The differences of a line's base cycle are the line's
 entries, so a simple Heffter array certifies itself (Archdeacon, "Heffter
 arrays and biembedding graphs on surfaces", Electron. J. Combin. 22, 2015).
-``develop`` and ``line_system`` therefore build no edge index; only
-``orthogonality`` and the cycle-file reader, which checks a file it did not
-develop, join edges.
+A developed system keeps only its base cycles and, for each difference d, the
+base and start vertex u of its edge u -> u+d; its n*M cycles and its edge
+index are built only when asked for.
+
+Cycle files list cycle ``i*M + t`` as ``canonical_cycle(C_i + t)``.  The
+writer streams them one base at a time, M lines per base.  The reader
+recognises a file in exactly that form, checking each block of M lines
+against the translates of its first line and certifying those bases by their
+differences, so it too holds O(M) lines at a time.  Any other file (a
+hand-made one, stray whitespace, a line out of place, a repeated difference)
+is read explicitly, line by line, and checked by its edge index, which
+reports every error.
+
+Two cyclic systems meet only along equal differences: if base C_i owns the
+edge u -> u+d and base C'_j owns v -> v+d, then C_i + s and C'_j + t share
+that edge exactly when t - s = u - v (mod M).  So ``orthogonality`` of two
+cyclic systems groups the differences by (i, j, u - v mod M); the largest
+group is the most edges two cycles share, and the worst pair is the greatest
+(i*M + M-1, j*M + (M-1 + u-v) mod M) over the largest groups.  Any other
+pair of systems is joined edge by edge.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .grid import HeffterGrid, natural_order, partial_sums
 
@@ -68,17 +85,21 @@ def base_cycle(grid: HeffterGrid, kind: str, a: int, modulus: int) -> tuple[int,
     return trace.residues
 
 
-@dataclass
 class CycleSystem:
-    """A set of pairwise edge-disjoint k-cycles on Z_M.
+    """A set of pairwise edge-disjoint k-cycles on Z_M, listed explicitly.
 
-    ``develop`` certifies the disjointness by differences and the file reader
-    by ``edge_index``, so the cycles cover exactly k * len(cycles) edges.
+    ``system_from_text`` certifies the disjointness by ``edge_index``, so
+    the cycles cover exactly k * count edges.
     """
 
-    modulus: int
-    k: int
-    cycles: list[tuple[int, ...]]
+    def __init__(self, modulus: int, k: int, cycles: list[tuple[int, ...]]) -> None:
+        self.modulus = modulus
+        self.k = k
+        self.cycles = cycles
+
+    @property
+    def count(self) -> int:
+        return len(self.cycles)
 
     @property
     def is_complete(self) -> bool:
@@ -86,7 +107,7 @@ class CycleSystem:
 
     def missing_edge_count(self) -> int:
         M = self.modulus
-        return M * (M - 1) // 2 - self.k * len(self.cycles)
+        return M * (M - 1) // 2 - self.k * self.count
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -103,21 +124,63 @@ class CycleSystem:
                 index[e] = cid
         return index
 
+    def text_blocks(self) -> Iterator[str]:
+        """The cycle-file lines after the header, each ending in a newline."""
+        yield "".join(f"{' '.join(map(str, cyc))}\n" for cyc in self.cycles)
 
-def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CycleSystem:
-    """All translates C + t of the base cycles, certified by their differences.
 
-    Raises NotSimple if a base cycle repeats a vertex mod M, and
-    NotADecomposition (naming the difference and both base cycle ids) if a
-    difference d or its negative occurs twice.  For even M, d = M/2 is its
-    own negative: its orbit covers each of its edges twice, so it counts as
-    a repeat.
+class CyclicSystem(CycleSystem):
+    """The translates C_i + t of base cycles certified by their differences.
+
+    ``owner`` maps each difference d to (i, u): base C_i has the edge
+    u -> u+d.  Cycle ``i*M + t`` is ``canonical_cycle(C_i + t)``; ``cycles``
+    lists them in that order on first use.
     """
-    bases = [[v % modulus for v in base] for base in base_cycles]
-    if not bases:
-        raise ValueError("no base cycles")
+
+    def __init__(self, modulus: int, k: int, bases: list[tuple[int, ...]],
+                 owner: dict[int, tuple[int, int]]) -> None:
+        self.modulus = modulus
+        self.k = k
+        self.bases = bases
+        self.owner = owner
+
+    @property
+    def count(self) -> int:
+        return len(self.bases) * self.modulus
+
+    @cached_property
+    def cycles(self) -> list[tuple[int, ...]]:
+        M = self.modulus
+        return [canonical_cycle([(v + t) % M for v in base])
+                for base in self.bases for t in range(M)]
+
+    def text_blocks(self) -> Iterator[str]:
+        """M lines per base, one base at a time."""
+        digits = [str(v) for v in range(self.modulus)]
+        for base in self.bases:
+            yield _translates_text(base, self.modulus, digits)
+
+
+def _translates_text(base: Sequence[int], modulus: int, digits: list[str]) -> str:
+    """The lines of ``canonical_cycle(base + t)`` for t = 0..M-1.
+
+    ``base`` holds distinct vertices of Z_M and ``digits[v]`` is ``str(v)``.
+    Vertex v wraps to 0 at t = M - v; between two wraps every vertex moves up
+    by one per step, so the rotation and direction that ``canonical_cycle``
+    picks stay the same and each column of the run is a slice of ``digits``.
+    """
+    cuts = sorted({0, modulus}.union(modulus - v for v in base if v))
+    runs = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        start = canonical_cycle([(v + t0) % modulus for v in base])
+        runs.append("\n".join(map(" ".join, zip(*(digits[w:w + t1 - t0] for w in start)))))
+    return "\n".join(runs) + "\n"
+
+
+def _owners(bases: list[tuple[int, ...]], modulus: int) -> dict[int, tuple[int, int]]:
+    """The difference certificate of ``develop``: d -> (base id, start of its edge u -> u+d)."""
     k = len(bases[0])
-    owner: dict[int, int] = {}
+    owner: dict[int, tuple[int, int]] = {}
     for b, base in enumerate(bases):
         if len(base) != k:
             raise ValueError("base cycles have mixed lengths")
@@ -126,16 +189,29 @@ def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CycleSystem:
         for u, v in zip(base, base[1:] + base[:1]):
             d = (v - u) % modulus
             if d in owner or 2 * d == modulus:
-                raise NotADecomposition(
-                    f"difference {d} in base cycles {owner.get(d, b)} and {b}"
-                )
-            owner[d] = owner[modulus - d] = b
-    cycles = [canonical_cycle([(v + t) % modulus for v in base])
-              for base in bases for t in range(modulus)]
-    return CycleSystem(modulus, k, cycles)
+                first = owner[d][0] if d in owner else b
+                raise NotADecomposition(f"difference {d} in base cycles {first} and {b}")
+            owner[d] = (b, u)
+            owner[modulus - d] = (b, v)
+    return owner
 
 
-def line_system(grid: HeffterGrid, kind: str, modulus: int) -> CycleSystem:
+def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CyclicSystem:
+    """All translates C + t of the base cycles, certified by their differences.
+
+    Raises NotSimple if a base cycle repeats a vertex mod M, and
+    NotADecomposition (naming the difference and both base cycle ids) if a
+    difference d or its negative occurs twice.  For even M, d = M/2 is its
+    own negative: its orbit covers each of its edges twice, so it counts as
+    a repeat.
+    """
+    bases = [tuple(v % modulus for v in base) for base in base_cycles]
+    if not bases:
+        raise ValueError("no base cycles")
+    return CyclicSystem(modulus, len(bases[0]), bases, _owners(bases, modulus))
+
+
+def line_system(grid: HeffterGrid, kind: str, modulus: int) -> CyclicSystem:
     """Develop the base cycles of every row (kind "row") or every column (kind "col")."""
     count = grid.m if kind == "row" else grid.n
     bases = [base_cycle(grid, kind, a, modulus) for a in range(count)]
@@ -145,13 +221,16 @@ def line_system(grid: HeffterGrid, kind: str, modulus: int) -> CycleSystem:
 def orthogonality(first: CycleSystem, second: CycleSystem) -> tuple[bool, int, tuple[int, int]]:
     """Whether every cycle pair across the two systems shares at most one edge.
 
-    Looks up each edge of each cycle of ``second`` in the edge index of
-    ``first`` (linear in the edge count) and returns (verdict, max shared
-    edges, the cycle-id pair achieving the maximum, the greatest such pair
-    on ties).
+    Returns (verdict, max shared edges, the cycle-id pair achieving the
+    maximum, the greatest such pair on ties).  Two cyclic systems are joined
+    by their differences in O(M); any other pair looks up each edge of each
+    cycle of ``second`` in the edge index of ``first`` (linear in the edge
+    count).
     """
     if first.modulus != second.modulus:
         raise ValueError("cycle systems live on different vertex sets")
+    if isinstance(first, CyclicSystem) and isinstance(second, CyclicSystem):
+        return _difference_join(first, second)
     index = first.edge_index
     best = (0, -1, -1)
     for cid, cyc in enumerate(second.cycles):
@@ -163,6 +242,24 @@ def orthogonality(first: CycleSystem, second: CycleSystem) -> tuple[bool, int, t
     return worst <= 1, worst, (a, b)
 
 
+def _difference_join(first: CyclicSystem, second: CyclicSystem) -> tuple[bool, int, tuple[int, int]]:
+    """``orthogonality`` of two cyclic systems from their difference owners."""
+    M = first.modulus
+    groups: Counter[tuple[int, int, int]] = Counter()
+    for d, (i, u) in first.owner.items():
+        # d and M-d name the same edges; d = M/2 never certifies
+        if 2 * d < M and d in second.owner:
+            j, v = second.owner[d]
+            groups[i, j, (u - v) % M] += 1
+    if not groups:
+        return True, 0, (-1, -1)
+    worst = max(groups.values())
+    # the pairs of a group (i, j, delta) are (i*M + s, j*M + (s + delta) mod M)
+    a, b = max((i * M + M - 1, j * M + (M - 1 + delta) % M)
+               for (i, j, delta), count in groups.items() if count == worst)
+    return worst <= 1, worst, (a, b)
+
+
 # -- cycle-system files --------------------------------------------------
 
 _CYCLE_HEADER = re.compile(r"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\s*$")
@@ -171,14 +268,16 @@ _CYCLE_HEADER = re.compile(r"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\s*$")
 _VERTICES = re.compile(r"[0-9\s]+")
 
 
+def _header(modulus: int, k: int, count: int) -> str:
+    return f"#cycles M={modulus} k={k} count={count}\n"
+
+
 def system_to_text(system: CycleSystem) -> str:
-    lines = [f"#cycles M={system.modulus} k={system.k} count={len(system.cycles)}"]
-    for cyc in system.cycles:
-        lines.append(" ".join(str(v) for v in cyc))
-    return "\n".join(lines) + "\n"
+    return _header(system.modulus, system.k, system.count) + "".join(system.text_blocks())
 
 
 def system_from_text(text: str) -> CycleSystem:
+    """Read a cycle file line by line and check it by its edge index."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty cycle file")
@@ -206,11 +305,61 @@ def system_from_text(text: str) -> CycleSystem:
     return system
 
 
+def _read_cyclic(fh: TextIO) -> CyclicSystem | None:
+    """The system of a file exactly as ``write_system`` writes a cyclic one, else None."""
+    header = fh.readline()
+    match = _CYCLE_HEADER.match(header)
+    if not match:
+        return None
+    M, k, count = (int(g) for g in match.groups())
+    if header != _header(M, k, count) or not 3 <= k <= M or count == 0 or count % M:
+        return None
+    # each line holds k vertices and k separators, so a file too short for
+    # its header builds no table of M digits
+    if os.fstat(fh.fileno()).st_size < 2 * k * count:
+        return None
+    digits = [str(v) for v in range(M)]
+    bases = []
+    for _ in range(count // M):
+        line = fh.readline()
+        try:
+            base = tuple(map(int, line.split()))
+        except ValueError:
+            return None
+        if len(base) != k or len(set(base)) != k or min(base) < 0 or max(base) >= M:
+            return None
+        block = _translates_text(base, M, digits)
+        if not block.startswith(line) or fh.read(len(block) - len(line)) != block[len(line):]:
+            return None
+        bases.append(base)
+    if fh.read(1):
+        return None
+    try:
+        owner = _owners(bases, M)
+    except NotADecomposition:  # the explicit reader names the shared edge
+        return None
+    return CyclicSystem(M, k, bases, owner)
+
+
 def write_system(path, system: CycleSystem) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(system_to_text(system))
+        fh.write(_header(system.modulus, system.k, system.count))
+        for block in system.text_blocks():
+            fh.write(block)
 
 
 def read_system(path) -> CycleSystem:
+    """Read a cycle file, as a cyclic system when it is one.
+
+    Every file that is not exactly what ``write_system`` writes for a cyclic
+    system goes through ``system_from_text``, which reports what is wrong.
+    """
     with open(path, encoding="utf-8") as fh:
-        return system_from_text(fh.read())
+        try:
+            system = _read_cyclic(fh)
+        except UnicodeDecodeError:  # reported at its offset in the whole file
+            system = None
+        if system is None:
+            fh.seek(0)
+            system = system_from_text(fh.read())
+    return system

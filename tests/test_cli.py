@@ -1,10 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import heffter
 from heffter.cli import main
+from heffter.construct4p import build_h4p
+from heffter.gridio import grid_to_text
 
 
 def run(capsys, *argv):
@@ -296,11 +303,14 @@ NO_DEFAULT_MODULUS = [
     ("construct", "--family", "h3", "--n", "8", "--p", "3"),
     ("verify", "{data}/h17_12_3.txt", "--level", "support-shifted", "--p", "3", "--gamma", "-1"),
     ("verify", "{data}/h17_12.txt", "--s", "-3", "--t", "-3"),
+    ("verify", "{data}/h17_12.txt", "--p", "7", "--gamma", "9"),
+    ("verify", "{data}/h17_12.txt", "--level", "integer", "--gamma", "9"),
     *NO_DEFAULT_MODULUS,
 ], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
         "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
         "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
-        "construct-h3-p", "verify-gamma-neg", "verify-s-t", "partial-sums-no-default-modulus",
+        "construct-h3-p", "verify-gamma-neg", "verify-s-t", "verify-heffter-p-gamma",
+        "verify-integer-gamma", "partial-sums-no-default-modulus",
         "decompose-no-default-modulus", "verify-no-default-modulus"])
 def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
     argv = [arg.format(tmp=tmp_path, data=data_dir) for arg in argv]
@@ -335,3 +345,39 @@ def test_construct_h4p_covers_k_4_and_8(tmp_path, capsys, p):
     code, out, err = run(capsys, "construct", "--family", "h4p", "--n", "9", "--p", p,
                          "--out", str(tmp_path / "g.txt"))
     assert code == 0 and out == "" and f"k={4 * int(p)}" in err
+
+
+@pytest.mark.parametrize("level", ["heffter", "integer", "globally-simple"])
+def test_verify_refuses_p_and_gamma_outside_support_shifted(capsys, data_dir, level):
+    code, out, err = run(capsys, "verify", str(data_dir / "h17_12.txt"), "--level", level,
+                         "--p", "7", "--gamma", "9")
+    assert (code, out, err) == (2, "", f"error: --p is not used at level {level}\n")
+
+
+SRC = pathlib.Path(heffter.__file__).resolve().parent.parent
+PEAK_LIMIT_MB = 64
+
+
+def _peak_rss_mb(argv, stdout):
+    """Run ``heffter`` in a child process; return its exit code and peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(stdout, "w", encoding="utf-8") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "heffter.cli", *argv], env=env, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_decompose_and_orthogonality_run_in_o_m_memory(tmp_path):
+    # M = 2401: 240,100 cycles per system, two 13 MB files; every n*M list or
+    # M*M edge index takes hundreds of MB
+    grid, rows, cols = tmp_path / "g.txt", tmp_path / "rows.txt", tmp_path / "cols.txt"
+    grid.write_text(grid_to_text(build_h4p(100, 3)), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code, peak = _peak_rss_mb(["decompose", str(grid), "--rows-out", str(rows),
+                               "--cols-out", str(cols)], out)
+    assert code == 0 and out.read_text().count("240100 cycles of length 12 on Z_2401, complete") == 2
+    assert peak < PEAK_LIMIT_MB, f"decompose peaked at {peak:.1f} MB"
+    code, peak = _peak_rss_mb(["orthogonality", str(rows), str(cols)], out)
+    assert code == 0 and out.read_text().startswith("ORTHOGONAL max-shared-edges=1 ")
+    assert peak < PEAK_LIMIT_MB, f"orthogonality peaked at {peak:.1f} MB"

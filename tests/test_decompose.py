@@ -1,11 +1,15 @@
+import contextlib
+import io
 import pathlib
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from heffter.cli import main
 from heffter.decompose import (
     CycleSystem,
+    CyclicSystem,
     NotADecomposition,
     NotSimple,
     base_cycle,
@@ -27,13 +31,35 @@ from oracle_tables import H17_12_ROW0_CYCLE
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def explicit_system(bases, M):
+    """Every translate C + t, listed in develop's order and joined edge by edge."""
+    translates = [tuple((v + t) % M for v in base) for base in bases for t in range(M)]
+    return CycleSystem(M, len(bases[0]), translates)
+
+
 def reference_index(bases, M):
     """Index every edge of every translate explicitly; None if two cycles share one."""
-    translates = [tuple((v + t) % M for v in base) for base in bases for t in range(M)]
     try:
-        return CycleSystem(M, len(bases[0]), translates).edge_index
+        return explicit_system(bases, M).edge_index
     except NotADecomposition:
         return None
+
+
+def reference_text(bases, M):
+    """The cycle file of the translates, canonicalised one cycle at a time."""
+    cycles = [canonical_cycle([(v + t) % M for v in base]) for base in bases for t in range(M)]
+    return system_to_text(CycleSystem(M, len(bases[0]), cycles))
+
+
+def simple_line_bases(grid, kind, M):
+    """The base cycles of the simple lines; no row of h6_12_8_4 is simple."""
+    bases = []
+    for a in range(grid.m if kind == "row" else grid.n):
+        try:
+            bases.append(base_cycle(grid, kind, a, M))
+        except NotSimple:
+            pass
+    return bases
 
 
 def assert_certificate_agrees(bases, M):
@@ -123,13 +149,8 @@ def test_certificate_agrees_with_edge_index_on_data_grids(name, modulus):
     grid = read_grid(DATA / name)
     M = 2 * len(grid.entries) + 1 if modulus == "default" else modulus
     checked = 0
-    for kind, count in (("row", grid.m), ("col", grid.n)):
-        bases = []
-        for a in range(count):  # the simple lines; no row of h6_12_8_4 is simple
-            try:
-                bases.append(base_cycle(grid, kind, a, M))
-            except NotSimple:
-                pass
+    for kind in ("row", "col"):
+        bases = simple_line_bases(grid, kind, M)
         if bases:
             assert_certificate_agrees(bases, M)
             checked += 1
@@ -191,3 +212,170 @@ def test_system_parse_errors():
         system_from_text("#cycles M=7 k=3 count=2\n0 1 3\n")
     with pytest.raises(ValueError):
         system_from_text("#cycles M=7 k=3 count=1\n0 1\n")
+
+
+# -- the difference join and the streamed cycle files --------------------
+
+
+def certified_bases(data, M, label):
+    """Drawn base cycles on Z_M, each kept only if the set still certifies."""
+    k = data.draw(st.integers(3, min(M - 1, 6)), label=f"{label} k")
+    base = st.lists(st.integers(0, M - 1), min_size=k, max_size=k, unique=True)
+    kept = []
+    for candidate in data.draw(st.lists(base, min_size=1, max_size=4), label=label):
+        try:
+            develop(kept + [candidate], M)
+        except NotADecomposition:
+            continue
+        kept.append(candidate)
+    assume(kept)
+    return kept
+
+
+@given(st.data())
+def test_difference_join_matches_edge_join_on_random_bases(data):
+    M = data.draw(st.integers(7, 40), label="M")  # odd and even
+    first, second = certified_bases(data, M, "first"), certified_bases(data, M, "second")
+    cyclic = develop(first, M), develop(second, M)
+    assert all(isinstance(system, CyclicSystem) for system in cyclic)
+    assert orthogonality(*cyclic) == orthogonality(explicit_system(first, M),
+                                                   explicit_system(second, M))
+
+
+@pytest.mark.parametrize("modulus", ["default", 1001])
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.txt")))
+def test_difference_join_matches_edge_join_on_data_grids(name, modulus):
+    grid = read_grid(DATA / name)
+    M = 2 * len(grid.entries) + 1 if modulus == "default" else modulus
+    bases = {kind: simple_line_bases(grid, kind, M) for kind in ("row", "col")}
+    cyclic, explicit = {}, {}
+    for kind, kind_bases in bases.items():
+        try:  # no simple line, or (h17_12_3 mod 2nk+1) a repeated difference
+            cyclic[kind] = develop(kind_bases, M)
+        except ValueError:
+            continue
+        explicit[kind] = explicit_system(kind_bases, M)
+    for a, b in (("row", "col"), ("row", "row"), ("col", "row")):
+        if a not in cyclic or b not in cyclic:
+            continue
+        assert orthogonality(cyclic[a], cyclic[b]) == orthogonality(explicit[a], explicit[b])
+
+
+@given(st.data())
+def test_streamed_text_matches_explicit_text_on_random_bases(data):
+    M = data.draw(st.integers(3, 40), label="M")
+    k = data.draw(st.integers(1, min(M, 6)), label="k")
+    base = st.lists(st.integers(0, M - 1), min_size=k, max_size=k, unique=True)
+    bases = data.draw(st.lists(base, min_size=1, max_size=3), label="bases")
+    system = CyclicSystem(M, k, [tuple(b) for b in bases], {})  # the writer needs no certificate
+    assert system_to_text(system) == reference_text(bases, M)
+
+
+@pytest.mark.parametrize("modulus", ["default", 1000])  # odd and even M
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.txt")))
+def test_streamed_files_match_explicit_text_on_data_grids(tmp_path, name, modulus):
+    grid = read_grid(DATA / name)
+    M = 2 * len(grid.entries) + 1 if modulus == "default" else modulus
+    path = tmp_path / "c.txt"
+    for kind in ("row", "col"):
+        bases = simple_line_bases(grid, kind, M)
+        if not bases:
+            continue
+        text = reference_text(bases, M)
+        assert system_to_text(CyclicSystem(M, len(bases[0]), bases, {})) == text
+        try:
+            system = develop(bases, M)
+        except NotADecomposition:
+            continue
+        write_system(path, system)
+        assert path.read_text(encoding="utf-8") == text
+        again = read_system(path)
+        assert isinstance(again, CyclicSystem) and again.cycles == system.cycles
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def h17_12_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cycles")
+    rows, cols = out / "rows.txt", out / "cols.txt"
+    assert run("decompose", DATA / "h17_12.txt", "--rows-out", rows, "--cols-out", cols)[0] == 0
+    return rows, cols
+
+
+def test_reader_takes_decompose_files_as_cyclic(h17_12_files):
+    rows, cols = h17_12_files
+    assert all(isinstance(read_system(path), CyclicSystem) for path in (rows, cols))
+    assert run("orthogonality", rows, cols) == (
+        0, "ORTHOGONAL max-shared-edges=1 worst-pair=6952,6952\n", "")
+
+
+# Each file below is read explicitly and gives what the explicit reader and
+# the edge join gave before the cyclic reader existed.
+
+
+def test_hand_made_file_is_joined_edge_by_edge(tmp_path):
+    hand = tmp_path / "hand.txt"
+    hand.write_text("#cycles M=7 k=3 count=2\n0 1 3\n2 4 6\n", encoding="utf-8")
+    assert not isinstance(read_system(hand), CyclicSystem)
+    assert run("orthogonality", hand, hand) == (
+        1, "NOT ORTHOGONAL max-shared-edges=3 worst-pair=1,1\n", "")
+
+
+def test_extra_space_falls_back_to_the_explicit_reader(tmp_path, h17_12_files):
+    rows, cols = h17_12_files
+    lines = rows.read_text(encoding="utf-8").split("\n")
+    lines[5] += " "
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("\n".join(lines), encoding="utf-8")
+    assert not isinstance(read_system(spaced), CyclicSystem)
+    assert run("orthogonality", spaced, cols) == (
+        0, "ORTHOGONAL max-shared-edges=1 worst-pair=6952,6952\n", "")
+    code, out, err = run("orthogonality", cols, spaced, "--json")
+    assert (code, err) == (0, "") and out.startswith('{\n  "orthogonal": true,\n')
+
+
+def test_corrupt_translate_names_the_shared_edge(tmp_path, h17_12_files):
+    rows, cols = h17_12_files
+    lines = rows.read_text(encoding="utf-8").split("\n")
+    M = 409
+    a, b, *rest = lines[M + 2].split()  # line M+3 of the file, the second translate of base 1
+    lines[M + 2] = " ".join([b, a, *rest])
+    corrupt = tmp_path / "corrupt.txt"
+    corrupt.write_text("\n".join(lines), encoding="utf-8")
+    assert run("orthogonality", corrupt, cols) == (
+        2, "", "error: edge (0, 5) in cycles 410 and 1636\n")
+
+
+def test_cyclic_file_with_a_repeated_difference_names_the_shared_edge(tmp_path):
+    # (0,1,3) and (0,1,5) both have the difference 1; each block is a true orbit
+    repeat = tmp_path / "repeat.txt"
+    repeat.write_text(reference_text([(0, 1, 3), (0, 1, 5)], 13), encoding="utf-8")
+    assert run("orthogonality", repeat, repeat) == (
+        2, "", "error: edge (0, 1) in cycles 0 and 13\n")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("#cycles M=0 k=3 count=1\n0 1 2\n", "cycle 0: vertex 2 is not in Z_0"),
+    ("#cycles M=1000000 k=3 count=1000000\n0 1 3\n", "expected 1000000 cycles, found 1"),
+    ("#cycles M=7 k=3 count=7\n0 1 3\n", "expected 7 cycles, found 1"),
+])
+def test_headers_the_cyclic_reader_cannot_take(tmp_path, text, error):
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run("orthogonality", path, path) == (2, "", f"error: {error}\n")
+
+
+def test_undecodable_byte_is_reported_at_its_file_offset(tmp_path, h17_12_files):
+    rows, cols = h17_12_files
+    data = rows.read_bytes()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data[:200000] + b"\xff" + data[200001:])
+    assert run("orthogonality", bad, cols) == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 200000: "
+               "invalid start byte\n")

@@ -111,3 +111,11 @@ def test_benchmark_requests_keep_their_exit_codes(tmp_path, capsys, seed):
             if not refused:
                 assert main(["verify", path, *job.verify]) == 0, (workload, job.construct)
                 capsys.readouterr()
+            if job.cycles:
+                rows, cols = str(tmp_path / "rows.cyc"), str(tmp_path / "cols.cyc")
+                code = main(["decompose", path, "--rows-out", rows, "--cols-out", cols])
+                out, _ = capsys.readouterr()
+                assert code == 0 and out.count(", complete\n") == 2, job.construct
+                code = main(["orthogonality", rows, cols])
+                out, _ = capsys.readouterr()
+                assert code == 0 and out.startswith("ORTHOGONAL max-shared-edges=1 "), job.construct
