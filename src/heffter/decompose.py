@@ -16,14 +16,22 @@ A developed system keeps only its base cycles and, for each difference d, the
 base and start vertex u of its edge u -> u+d; its n*M cycles and its edge
 index are built only when asked for.
 
-Cycle files list cycle ``i*M + t`` as ``canonical_cycle(C_i + t)``.  The
-writer streams them one base at a time, M lines per base.  The reader
-recognises a file in exactly that form, checking each block of M lines
-against the translates of its first line and certifying those bases by their
-differences, so it too holds O(M) lines at a time.  Any other file (a
-hand-made one, stray whitespace, a line out of place, a repeated difference)
-is read explicitly, line by line, and checked by its edge index, which
-reports every error.
+Cycle files list cycle ``i*M + t`` as ``canonical_cycle(C_i + t)``.  Between
+two shifts at which a vertex wraps to 0, the translates keep their rotation
+and direction and every vertex moves up by one per line, so each column of
+such a run is a range of consecutive vertices.  The writer makes the lines
+as bytes from a table of every vertex of Z_M as a fixed-width token (digits
+left-padded with NUL, then a separator): a column is one slice of the table,
+one Fortran-order ``memoryview`` copy turns a run's columns into its lines,
+and deleting the NULs leaves the text.  A run longer than ``_CHUNK_BYTES``
+allows is cut, so the writer holds the O(M) table and one chunk of at most
+``_CHUNK_BYTES`` bytes, whatever k is.  It writes ``<path>.tmp`` and renames
+it, so a failed write leaves no partial file.  The reader recognises a file
+in exactly that form, comparing it chunk by chunk with the translates of
+each block's first line and certifying those bases by their differences, so
+it holds no more than the writer.  Any other file (a hand-made one, stray
+whitespace, a line out of place, a repeated difference) is read explicitly,
+line by line, and checked by its edge index, which reports every error.
 
 Two cyclic systems meet only along equal differences: if base C_i owns the
 edge u -> u+d and base C'_j owns v -> v+d, then C_i + s and C'_j + t share
@@ -40,7 +48,7 @@ import os
 import re
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .grid import HeffterGrid, natural_order, partial_sums
 
@@ -124,9 +132,9 @@ class CycleSystem:
                 index[e] = cid
         return index
 
-    def text_blocks(self) -> Iterator[str]:
+    def line_chunks(self) -> Iterator[bytes]:
         """The cycle-file lines after the header, each ending in a newline."""
-        yield "".join(f"{' '.join(map(str, cyc))}\n" for cyc in self.cycles)
+        yield "".join(f"{' '.join(map(str, cyc))}\n" for cyc in self.cycles).encode()
 
 
 class CyclicSystem(CycleSystem):
@@ -154,27 +162,96 @@ class CyclicSystem(CycleSystem):
         return [canonical_cycle([(v + t) % M for v in base])
                 for base in self.bases for t in range(M)]
 
-    def text_blocks(self) -> Iterator[str]:
-        """M lines per base, one base at a time."""
-        digits = [str(v) for v in range(self.modulus)]
+    def line_chunks(self) -> Iterator[bytes]:
+        """M lines per base, one base at a time, in chunks of at most ``_CHUNK_BYTES``."""
+        tokens = _Tokens(self.modulus)
         for base in self.bases:
-            yield _translates_text(base, self.modulus, digits)
+            yield from _translates(base, self.modulus, tokens)
 
 
-def _translates_text(base: Sequence[int], modulus: int, digits: list[str]) -> str:
-    """The lines of ``canonical_cycle(base + t)`` for t = 0..M-1.
+# Bytes per chunk of cycle-file lines; a line longer than this is a chunk.
+_CHUNK_BYTES = 1 << 20
 
-    ``base`` holds distinct vertices of Z_M and ``digits[v]`` is ``str(v)``.
-    Vertex v wraps to 0 at t = M - v; between two wraps every vertex moves up
-    by one per step, so the rotation and direction that ``canonical_cycle``
-    picks stay the same and each column of the run is a slice of ``digits``.
+
+def _token_format(modulus: int) -> tuple[str, int, int]:
+    """The struct format and size of a token part, and the parts per token, for Z_M.
+
+    A token of ``parts`` items of ``size`` bytes holds the digits of M-1 and
+    a separator.  ``memoryview.cast`` takes 2-, 4- and 8-byte items, so a
+    vertex of 8 or more digits takes two or more parts.
     """
+    digits = len(str(modulus - 1))
+    fmt, size = ("H", 2) if digits < 2 else ("I", 4) if digits < 4 else ("Q", 8)
+    return fmt, size, digits // size + 1
+
+
+class _Tokens:
+    """Every vertex of Z_M as a fixed-width token: its digits left-padded with NUL, then a space.
+
+    A token is ``len(parts)`` items of ``size`` bytes.  ``parts[h]`` holds
+    item h of every vertex's token, vertex after vertex, so the tokens of
+    consecutive vertices are one slice of each part.  ``ended`` is the last
+    part with each space a newline, for the last column of a line.
+    """
+
+    def __init__(self, modulus: int) -> None:
+        self.format, self.size, parts = _token_format(modulus)
+        self.width = self.size * parts
+        # "%*d;" pads with spaces, which become NUL; then each ";" becomes the space
+        text = f"%{self.width - 1}d;" * modulus % tuple(range(modulus))
+        table = text.encode().replace(b" ", b"\0").replace(b";", b" ")
+        # item-major: every vertex's first item, then every vertex's second, ...
+        table = memoryview(table).cast(self.format, (modulus, parts)).tobytes("F")
+        span = modulus * self.size
+        self.parts = [table[h * span:(h + 1) * span] for h in range(parts)]
+        self.ended = self.parts[-1].replace(b" ", b"\n")
+
+    def lines(self, runs: list[tuple[Sequence[int], int]]) -> bytes:
+        """The lines of consecutive runs, each given as (columns, count).
+
+        A run has ``count`` lines, and its line s lists v + s for each v in
+        ``columns``; no v + s may reach M.
+        """
+        size, counts = self.size, [count for _, count in runs]
+        starts = list(zip(*(columns for columns, _ in runs)))  # column by column
+        rows = [part[size * v:size * (v + n)]
+                for part in self.parts for column in starts for v, n in zip(column, counts)]
+        rows[-len(runs):] = [self.ended[size * v:size * (v + n)]
+                             for v, n in zip(starts[-1], counts)]
+        # the rows hold item h of column c over all the lines, h-major; one
+        # Fortran-order copy lists the items line by line
+        shape = (len(self.parts), len(starts), sum(counts))
+        block = memoryview(b"".join(rows)).cast(self.format, shape)
+        return block.tobytes("F").translate(None, b"\0")
+
+
+def _translates(base: Sequence[int], modulus: int, tokens: _Tokens) -> Iterator[bytes]:
+    """The lines of ``canonical_cycle(base + t)`` for t = 0..M-1, in chunks of ``_CHUNK_BYTES``.
+
+    ``base`` holds distinct vertices of Z_M.  Vertex v wraps to 0 at
+    t = M - v; between two wraps every vertex moves up by one per step, so
+    the rotation and direction that ``canonical_cycle`` picks stay the same
+    and each column of the run is one slice of the token table.  A chunk
+    holds whole runs, or pieces of one where a run is longer than a chunk.
+    """
+    step = max(1, _CHUNK_BYTES // (len(base) * tokens.width))
     cuts = sorted({0, modulus}.union(modulus - v for v in base if v))
-    runs = []
+    runs, room = [], step
     for t0, t1 in zip(cuts, cuts[1:]):
         start = canonical_cycle([(v + t0) % modulus for v in base])
-        runs.append("\n".join(map(" ".join, zip(*(digits[w:w + t1 - t0] for w in start)))))
-    return "\n".join(runs) + "\n"
+        while True:
+            count = min(room, t1 - t0)
+            runs.append((start, count))
+            t0 += count
+            room -= count
+            if not room:
+                yield tokens.lines(runs)
+                runs, room = [], step
+            if t0 == t1:
+                break
+            start = [v + count for v in start]
+    if runs:
+        yield tokens.lines(runs)
 
 
 def _owners(bases: list[tuple[int, ...]], modulus: int) -> dict[int, tuple[int, int]]:
@@ -273,7 +350,8 @@ def _header(modulus: int, k: int, count: int) -> str:
 
 
 def system_to_text(system: CycleSystem) -> str:
-    return _header(system.modulus, system.k, system.count) + "".join(system.text_blocks())
+    body = b"".join(system.line_chunks()).decode("ascii")
+    return _header(system.modulus, system.k, system.count) + body
 
 
 def system_from_text(text: str) -> CycleSystem:
@@ -305,9 +383,9 @@ def system_from_text(text: str) -> CycleSystem:
     return system
 
 
-def _read_cyclic(fh: TextIO) -> CyclicSystem | None:
+def _read_cyclic(fh: BinaryIO) -> CyclicSystem | None:
     """The system of a file exactly as ``write_system`` writes a cyclic one, else None."""
-    header = fh.readline()
+    header = fh.readline().decode("latin-1")
     match = _CYCLE_HEADER.match(header)
     if not match:
         return None
@@ -315,21 +393,21 @@ def _read_cyclic(fh: TextIO) -> CyclicSystem | None:
     if header != _header(M, k, count) or not 3 <= k <= M or count == 0 or count % M:
         return None
     # each line holds k vertices and k separators, so a file too short for
-    # its header builds no table of M digits
+    # its header builds no table of M tokens
     if os.fstat(fh.fileno()).st_size < 2 * k * count:
         return None
-    digits = [str(v) for v in range(M)]
+    tokens = _Tokens(M)
     bases = []
     for _ in range(count // M):
-        line = fh.readline()
+        at = fh.tell()
         try:
-            base = tuple(map(int, line.split()))
+            base = tuple(map(int, fh.readline().split()))
         except ValueError:
             return None
         if len(base) != k or len(set(base)) != k or min(base) < 0 or max(base) >= M:
             return None
-        block = _translates_text(base, M, digits)
-        if not block.startswith(line) or fh.read(len(block) - len(line)) != block[len(line):]:
+        fh.seek(at)
+        if any(fh.read(len(chunk)) != chunk for chunk in _translates(base, M, tokens)):
             return None
         bases.append(base)
     if fh.read(1):
@@ -342,10 +420,20 @@ def _read_cyclic(fh: TextIO) -> CyclicSystem | None:
 
 
 def write_system(path, system: CycleSystem) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(system.modulus, system.k, system.count))
-        for block in system.text_blocks():
-            fh.write(block)
+    """Write a cycle file through ``<path>.tmp``, so a failed write leaves no partial file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_header(system.modulus, system.k, system.count).encode())
+            for chunk in system.line_chunks():
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def read_system(path) -> CycleSystem:
@@ -354,12 +442,9 @@ def read_system(path) -> CycleSystem:
     Every file that is not exactly what ``write_system`` writes for a cyclic
     system goes through ``system_from_text``, which reports what is wrong.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            system = _read_cyclic(fh)
-        except UnicodeDecodeError:  # reported at its offset in the whole file
-            system = None
-        if system is None:
-            fh.seek(0)
+    with open(path, "rb") as fh:
+        system = _read_cyclic(fh)
+    if system is None:
+        with open(path, encoding="utf-8") as fh:
             system = system_from_text(fh.read())
     return system

@@ -358,14 +358,29 @@ SRC = pathlib.Path(heffter.__file__).resolve().parent.parent
 PEAK_LIMIT_MB = 64
 
 
+# The child reports its own peak.  Exec resets VmHWM, but the ru_maxrss that
+# os.wait4 gives starts from the peak of the process that forked the child,
+# here the whole test session.
+_MEASURED_CLI = """
+import sys
+from heffter.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+with open(sys.argv[1], "w", encoding="ascii") as fh:
+    fh.write(str(peak_kib))
+sys.exit(code)
+"""
+
+
 def _peak_rss_mb(argv, stdout):
     """Run ``heffter`` in a child process; return its exit code and peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    peak = stdout.with_suffix(".peak")
     with open(stdout, "w", encoding="utf-8") as out:
-        proc = subprocess.Popen([sys.executable, "-m", "heffter.cli", *argv], env=env, stdout=out)
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+        code = subprocess.call([sys.executable, "-c", _MEASURED_CLI, str(peak), *argv],
+                               env=env, stdout=out)
+    return code, int(peak.read_text(encoding="ascii")) / 1024  # VmHWM is in KiB
 
 
 def test_decompose_and_orthogonality_run_in_o_m_memory(tmp_path):

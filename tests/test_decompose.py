@@ -1,11 +1,14 @@
 import contextlib
 import io
 import pathlib
+import random
+import struct
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heffter import decompose
 from heffter.cli import main
 from heffter.decompose import (
     CycleSystem,
@@ -291,6 +294,87 @@ def test_streamed_files_match_explicit_text_on_data_grids(tmp_path, name, modulu
         assert path.read_text(encoding="utf-8") == text
         again = read_system(path)
         assert isinstance(again, CyclicSystem) and again.cycles == system.cycles
+
+
+# moduli on each side of every change in the number of digits of M - 1
+WIDTH_MODULI = [3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001]
+
+
+@pytest.mark.parametrize("M", WIDTH_MODULI)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_chunks_match_explicit_text_across_token_widths(M, data):
+    k = data.draw(st.integers(1, min(M, 7)), label="k")
+    base = st.lists(st.integers(0, M - 1), min_size=k, max_size=k, unique=True)
+    bases = data.draw(st.lists(base, min_size=1, max_size=2), label="bases")
+    system = CyclicSystem(M, k, [tuple(b) for b in bases], {})
+    assert system_to_text(system) == reference_text(bases, M)
+
+
+@pytest.mark.parametrize("layout", [("H", 2, 3), ("I", 4, 2), ("Q", 8, 2)])
+def test_tokens_of_several_parts_give_the_same_text(monkeypatch, layout):
+    # the layout of moduli above 10**7, forced on small ones
+    monkeypatch.setattr(decompose, "_token_format", lambda modulus: layout)
+    rng = random.Random(17)
+    for M in (3, 11, 1001, 10001):
+        k = min(M, 5)
+        bases = [tuple(rng.sample(range(M), k)) for _ in range(2)]
+        assert system_to_text(CyclicSystem(M, k, bases, {})) == reference_text(bases, M)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1000])
+def test_runs_cut_into_small_chunks_give_the_same_text(monkeypatch, budget):
+    monkeypatch.setattr(decompose, "_CHUNK_BYTES", budget)
+    rng = random.Random(budget)
+    for M in (11, 101, 1001):
+        bases = [tuple(rng.sample(range(M), 5)) for _ in range(2)]
+        system = CyclicSystem(M, 5, bases, {})
+        line = 5 * len(str(M - 1)) + 5  # a line of the widest vertices
+        assert max(map(len, system.line_chunks())) <= max(budget, line)
+        assert system_to_text(system) == reference_text(bases, M)
+
+
+@pytest.mark.parametrize("M", [1, 9, 10, 10**7, 10**7 + 1, 10**8, 10**15 + 1, 10**40])
+def test_every_modulus_gets_a_token_width(M):
+    fmt, size, parts = decompose._token_format(M)
+    assert struct.calcsize(fmt) == size
+    assert size * parts > len(str(M - 1))  # the digits and a separator
+    assert size * parts <= 2 * (len(str(M - 1)) + 1)  # padding at most doubles a token
+
+
+def test_chunks_stay_within_their_budget_at_large_k():
+    # one base of H(n;199)'s size: a single string of its M lines would take 95 MB
+    M, k = 80_001, 199
+    base = tuple(random.Random(5).sample(range(M), k))
+    system = CyclicSystem(M, k, [base], {})
+    largest = lines = 0
+    for chunk in system.line_chunks():
+        largest = max(largest, len(chunk))
+        lines += chunk.count(b"\n")
+    assert lines == M
+    assert 0 < largest <= decompose._CHUNK_BYTES
+
+
+class FailingSystem(CyclicSystem):
+    """A system whose file fails after its first line."""
+
+    def line_chunks(self):
+        yield b"0 1 3\n"
+        raise OSError("disk full")
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    system = FailingSystem(7, 3, [(0, 1, 3)], {})
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("the previous file\n", encoding="utf-8")
+    for path in (fresh, kept):
+        with pytest.raises(OSError, match="disk full"):
+            write_system(path, system)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+    assert kept.read_text(encoding="utf-8") == "the previous file\n"
+    write_system(kept, develop([(0, 1, 3)], 7))
+    assert kept.read_text(encoding="utf-8") == reference_text([(0, 1, 3)], 7)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
 
 def run(*argv):
