@@ -15,7 +15,6 @@ from .shifted import build_shifted, choose_alpha
 from .verify import (
     Check,
     VerificationReport,
-    compatibility_check,
     verify_globally_simple,
     verify_heffter,
     verify_integer,
@@ -39,7 +38,6 @@ __all__ = [
     "verify_integer",
     "verify_globally_simple",
     "verify_support_shifted",
-    "compatibility_check",
     "build_h4p",
     "expected_diagonal_support",
     "build_shifted",

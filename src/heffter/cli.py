@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: construct, verify, partial-sums, decompose, orthogonality,
-compatibility.  Exit codes: 0 all checks pass, 1 a property check failed,
-2 usage or input errors, 3 the verifier rejected the (eps, alpha, shift) of
-an h4p3 merge, from its closed form or from --alpha/--eps/--shift.
+Subcommands: construct, verify, partial-sums, decompose, orthogonality.
+Exit codes: 0 all checks pass, 1 a property check failed, 2 usage or input
+errors, 3 the verifier rejected the (eps, alpha, shift) of an h4p3 merge,
+from its closed form or from --alpha/--eps/--shift.
 Exit 2 has one path: argparse refusals (a --modulus below 1 among them) and
 every ValueError or OSError a command raises, such as a malformed or
 unreadable input file or an unwritable output path, print an error to stderr
@@ -31,7 +31,6 @@ from .grid import HeffterGrid, diagonal_order, natural_order, partial_sums
 from .gridio import grid_to_text, read_grid
 from .verify import (
     VerificationReport,
-    compatibility_check,
     default_modulus,
     verify_globally_simple,
     verify_heffter,
@@ -231,14 +230,6 @@ def cmd_orthogonality(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_compatibility(args) -> int:
-    grid = _load_grid(args.path)
-    ok, cycle_type = compatibility_check(grid)
-    verdict = "COMPATIBLE" if ok else "NOT COMPATIBLE"
-    print(f"{verdict} cycle-type={','.join(str(v) for v in cycle_type)}")
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
 # -- argument parsing ----------------------------------------------------
 
 
@@ -301,10 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ort.add_argument("second")
     p_ort.add_argument("--json", action="store_true")
     p_ort.set_defaults(func=cmd_orthogonality)
-
-    p_cmp = sub.add_parser("compatibility", help="cycle type of composed line orderings")
-    p_cmp.add_argument("path")
-    p_cmp.set_defaults(func=cmd_compatibility)
 
     return parser
 

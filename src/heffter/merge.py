@@ -7,14 +7,26 @@ ladder support {1..3n} the union covers {1..(4p+3)n}.  The H(n;3) is the
 closed-form three-diagonal array of ``h3.build_h3_base`` (Archdeacon,
 Dinitz, Donovan and Yazıcı, "Square integer Heffter arrays with empty
 cells", 2015).  The parameters are closed forms too: (eps, alpha) is
-(2, (n-1)/2) for n = 1 mod 4 and the first admissible pair of
-``_candidates`` for n = 0 mod 4, and the relocated H(n;3) stays at cyclic
-shift 0 unless a shift is forced.  The overlay is built once and accepted
-only after the independent verifier passes it.
+(2, (n-1)/2) for n = 1 mod 4 and the pair of ``_candidates`` for n = 0 mod 4,
+and the relocated H(n;3) stays at cyclic shift 0 unless a shift is forced.
+The overlay is built once and accepted only after the independent verifier
+passes it.
+
+For n = 0 mod 4 the pair needs eps and alpha coprime to n with
+2p+eps <= alpha <= n-2p-eps.  Without overrides, (n, p) is refused exactly
+when n = 4p+4, or when 12 | n and the least alpha >= 2p+eps0 coprime to n
+exceeds n-2p-eps0, where eps0 is the least integer >= 5 coprime to n.
+That is a limit of the overlay, not of a missing search: trying every eps
+and alpha coprime to n, every start diagonal and every shift on the 8
+smallest refused pairs, up to (28, 6), verified an overlay only for
+(12, 1).  The paper's case (c) likewise covers n = 0 mod 4 only for n much
+larger than k.  This module builds condition (1), simple line orderings;
+condition (2), compatible orderings, is not constructed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +106,10 @@ def build_h4p3(
         if pair is None:
             raise ValueError(
                 f"no admissible (eps, alpha) for n={n}, p={p}: for n = 0 mod 4 the merge "
-                f"needs an eps coprime to n with 3 <= eps <= (n-4p)/2, so n well above k"
+                f"needs eps and alpha coprime to n with 2p+eps <= alpha <= n-2p-eps; without "
+                f"overrides that fails exactly when n = 4p+4, or when 12 | n and the least "
+                f"alpha >= 2p+eps coprime to n exceeds n-2p-eps for the least eps >= 5 "
+                f"coprime to n"
             )
         eps, alpha = pair
 
@@ -109,29 +124,32 @@ def build_h4p3(
     return merged, MergeParams(n, p, alpha, eps, beta, t, 2 * n * k + 1)
 
 
+def _least_coprime(n: int, start: int) -> int:
+    return next(v for v in itertools.count(start) if math.gcd(n, v) == 1)
+
+
 def _candidates(n: int, p: int, eps: int | None, alpha: int | None) -> tuple[int, int] | None:
-    """The first admissible (eps, alpha) for n = 0 mod 4, or None if there is none.
+    """The admissible (eps, alpha) for n = 0 mod 4, or None if there is none.
 
     Without overrides that is (3, n/2-1) when 12 does not divide n and
-    n >= 4p+8, and otherwise the least eps coprime to n with the least alpha
-    coprime to n.  eps is odd because n is even, and eps = 1 would put a
-    ladder diagonal on D_{2p+alpha}.
+    n >= 4p+8.  Otherwise eps is the least integer >= 3 coprime to n and
+    alpha the least integer >= 2p+eps coprime to n, each unless given: eps
+    is odd because n is even, and eps = 1 would put a ladder diagonal on
+    D_{2p+alpha}.  A smaller eps only widens alpha's window, so no other
+    pair is admissible when this one is not; the module docstring states
+    when that happens.  Unless both are given, both must be coprime to n.
     """
-    if eps is not None and alpha is not None:
-        pairs = [(eps, alpha)]
-    elif eps is None and alpha is None and n % 12 != 0 and n >= 4 * p + 8:
-        pairs = [(3, n // 2 - 1)]
-    else:
-        pairs = (
-            (e, a)
-            for e in ((eps,) if eps is not None else range(3, (n - 4 * p) // 2 + 1))
-            if math.gcd(n, e) == 1
-            for a in ((alpha,) if alpha is not None else range(2 * p + e, n - e - 2 * p + 1))
-            if math.gcd(n, a) == 1
-        )
-    return next((
-        (e, a) for e, a in pairs
-        if e <= (n - 4 * p) / 2 and 2 * p + e <= a <= n - e - 2 * p
-        and 2 * p + a - e - 1 > 4 * p - 2 and 2 * p + a + e - 1 < n
-        and 2 * p - 1 <= a <= n - 1 - 2 * p
-    ), None)
+    if eps is None and alpha is None and n % 12 != 0 and n >= 4 * p + 8:
+        eps, alpha = 3, n // 2 - 1
+    elif eps is None or alpha is None:
+        if eps is None:
+            eps = _least_coprime(n, 3)
+        if alpha is None:
+            alpha = _least_coprime(n, 2 * p + eps)
+        if math.gcd(n, eps * alpha) != 1:
+            return None
+    if (eps <= (n - 4 * p) / 2 and 2 * p + eps <= alpha <= n - eps - 2 * p
+            and 2 * p + alpha - eps - 1 > 4 * p - 2 and 2 * p + alpha + eps - 1 < n
+            and 2 * p - 1 <= alpha <= n - 1 - 2 * p):
+        return eps, alpha
+    return None

@@ -178,41 +178,3 @@ def verify_support_shifted(grid: HeffterGrid, p: int, gamma: int) -> Verificatio
     _check_line_sums(grid, None, report)
     _check_simplicity(grid, M, report)
     return report
-
-
-def compatibility_check(grid: HeffterGrid) -> tuple[bool, list[int]]:
-    """Compose the natural row and column cyclic orderings and inspect the cycle type.
-
-    Each line's ordering is the cyclic successor map on its filled cells in
-    natural order; the orderings are compatible when the composition of all
-    row cycles with all column cycles is a single cycle through every filled
-    cell.  Returns the verdict and the cycle type (sorted cycle lengths) of
-    the composition.
-    """
-
-    def successor_map(kind, count):
-        succ = {}
-        for a in range(count):
-            cells = grid.line_cells(kind, a)
-            succ.update(zip(cells, cells[1:] + cells[:1]))
-        return succ
-
-    omega_r = successor_map("row", grid.m)
-    omega_c = successor_map("col", grid.n)
-
-    composed = {cell: omega_r[omega_c[cell]] for cell in grid.entries}
-    unvisited = set(composed)
-    cycle_type = []
-    while unvisited:
-        start = next(iter(unvisited))
-        length = 0
-        cell = start
-        while True:
-            unvisited.discard(cell)
-            length += 1
-            cell = composed[cell]
-            if cell == start:
-                break
-        cycle_type.append(length)
-    cycle_type.sort()
-    return cycle_type == [len(grid.entries)] and len(grid.entries) > 0, cycle_type

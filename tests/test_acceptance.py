@@ -43,7 +43,7 @@ def h4p3(n, p):
     return build_h4p3(n, p)
 
 
-SWEEP_4P = [(n, p) for p in (3, 4, 5, 6) for n in range(4 * p, 41)]
+SWEEP_4P = [(n, p) for p in (1, 2, 3, 4, 5, 6) for n in range(4 * p, 41)]
 SWEEP_4P3 = [(n, p) for n in (13, 17, 21, 25, 29) for p in range(1, (n - 3) // 4 + 1)]
 
 

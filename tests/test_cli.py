@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import heffter
+from heffter import cli
 from heffter.cli import main
 from heffter.construct4p import build_h4p
 from heffter.gridio import grid_to_text
@@ -189,14 +192,16 @@ def test_orthogonality_rejects_a_repeated_vertex(tmp_path, capsys):
     assert code == 2 and out == "" and "cycle 0 repeats a vertex" in err
 
 
-def test_compatibility_command(capsys, data_dir):
-    code, out, _ = run(capsys, "compatibility", str(data_dir / "h17_12.txt"))
-    assert code == 1 and out.startswith("NOT COMPATIBLE")
-
-
 def test_usage_error_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_docstring_lists_exactly_the_subcommands():
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1).split()
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert [name.rstrip(",") for name in listed] == list(sub.choices)
 
 
 def test_construction_failure_exit_code(capsys):
@@ -305,12 +310,13 @@ NO_DEFAULT_MODULUS = [
     ("verify", "{data}/h17_12.txt", "--s", "-3", "--t", "-3"),
     ("verify", "{data}/h17_12.txt", "--p", "7", "--gamma", "9"),
     ("verify", "{data}/h17_12.txt", "--level", "integer", "--gamma", "9"),
+    ("compatibility", "{data}/h17_12.txt"),
     *NO_DEFAULT_MODULUS,
 ], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
         "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
         "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
         "construct-h3-p", "verify-gamma-neg", "verify-s-t", "verify-heffter-p-gamma",
-        "verify-integer-gamma", "partial-sums-no-default-modulus",
+        "verify-integer-gamma", "compatibility-removed", "partial-sums-no-default-modulus",
         "decompose-no-default-modulus", "verify-no-default-modulus"])
 def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
     argv = [arg.format(tmp=tmp_path, data=data_dir) for arg in argv]

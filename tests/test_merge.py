@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -25,12 +26,6 @@ def test_default_alpha_n_1_mod_4():
     grid, params = build_h4p3(13, 1)
     assert params.alpha == 6 and params.eps == 2
     full_check(grid, 13, 7)
-
-
-def test_n_0_mod_4_search():
-    grid, params = build_h4p3(20, 2)
-    assert params.eps >= 2
-    full_check(grid, 20, 11)
 
 
 def test_reports_modulus():
@@ -77,6 +72,69 @@ def test_merge_candidate_is_the_first_pair():
     assert merge._candidates(28, 3, None, None) == (3, 13)
 
 
+def reference_candidates(n, p, eps, alpha):
+    """The lazy search over (eps, alpha) that ``merge._candidates`` replaced."""
+    if eps is not None and alpha is not None:
+        pairs = [(eps, alpha)]
+    elif eps is None and alpha is None and n % 12 != 0 and n >= 4 * p + 8:
+        pairs = [(3, n // 2 - 1)]
+    else:
+        pairs = (
+            (e, a)
+            for e in ((eps,) if eps is not None else range(3, (n - 4 * p) // 2 + 1))
+            if math.gcd(n, e) == 1
+            for a in ((alpha,) if alpha is not None else range(2 * p + e, n - e - 2 * p + 1))
+            if math.gcd(n, a) == 1
+        )
+    return next((
+        (e, a) for e, a in pairs
+        if e <= (n - 4 * p) / 2 and 2 * p + e <= a <= n - e - 2 * p
+        and 2 * p + a - e - 1 > 4 * p - 2 and 2 * p + a + e - 1 < n
+        and 2 * p - 1 <= a <= n - 1 - 2 * p
+    ), None)
+
+
+def assert_candidates_match_reference(max_n):
+    compared = 0
+    for n in range(8, max_n + 1, 4):
+        overrides = [None, *range(-2, n + 2)]
+        for p in range(1, (n - 3) // 4 + 1):
+            for eps in overrides:
+                for alpha in overrides:
+                    assert (merge._candidates(n, p, eps, alpha)
+                            == reference_candidates(n, p, eps, alpha)), (n, p, eps, alpha)
+                    compared += 1
+    return compared
+
+
+def test_candidates_match_the_reference_search():
+    assert assert_candidates_match_reference(48) == 111_474
+
+
+@pytest.mark.slow
+def test_candidates_match_the_reference_search_up_to_160():
+    assert assert_candidates_match_reference(160) == 11_276_460
+
+
+def least_coprime(n, start):
+    return next(v for v in itertools.count(start) if math.gcd(n, v) == 1)
+
+
+def stated_refusal(n, p):
+    """The refusal rule of the ``merge`` docstring, for n = 0 mod 4 without overrides."""
+    eps0 = least_coprime(n, 5)
+    return n == 4 * p + 4 or (n % 12 == 0 and least_coprime(n, 2 * p + eps0) > n - 2 * p - eps0)
+
+
+def test_stated_refusal_rule_matches_the_reference_search():
+    refused = 0
+    for n in range(8, 401, 4):
+        for p in range(1, (n - 3) // 4 + 1):
+            assert (reference_candidates(n, p, None, None) is None) == stated_refusal(n, p), (n, p)
+            refused += stated_refusal(n, p)
+    assert refused == 138
+
+
 def closed_form_pair(n, p):
     """(eps, alpha) stated directly: least eps, then least alpha, in the window."""
     if n % 4 == 1:
@@ -107,7 +165,7 @@ def test_every_theorem_order_up_to_61_uses_the_closed_form():
 
 @pytest.mark.parametrize("n,p,pair", [
     (13, 1, (2, 6)), (17, 3, (2, 8)), (24, 3, (5, 11)), (28, 3, (3, 13)),
-    (28, 5, (3, 13)), (36, 4, (5, 13)), (60, 7, (7, 23)),
+    (28, 5, (3, 13)), (36, 4, (5, 13)), (60, 7, (7, 23)), (20, 2, (3, 9)),
 ])
 def test_closed_form_pins(n, p, pair):
     _, params = build_h4p3(n, p)

@@ -3,7 +3,6 @@ import pytest
 from heffter.grid import HeffterGrid, diagonal_order, partial_sums
 from heffter.verify import (
     VerificationReport,
-    compatibility_check,
     verify_globally_simple,
     verify_heffter,
     verify_integer,
@@ -108,25 +107,6 @@ def test_diagonal_simplicity_matches_natural(h17_12_3):
     assert all(partial_sums(h17_12_3, kind, a, diagonal_order(h17_12_3, kind, a), 511).collision is None
                for kind in ("row", "col") for a in range(h17_12_3.n))
     assert verify_globally_simple(h17_12_3, 511).overall
-
-
-def test_compatibility_single_cycle():
-    # singleton columns make the composition equal the row cycle itself
-    g = HeffterGrid(1, 3, {(0, 0): 1, (0, 1): 2, (0, 2): -3})
-    ok, cycle_type = compatibility_check(g)
-    assert ok and cycle_type == [3]
-
-
-def test_compatibility_two_cycles():
-    g = HeffterGrid(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): -6})
-    ok, cycle_type = compatibility_check(g)
-    assert not ok and cycle_type == [2, 2]
-
-
-def test_compatibility_natural_orderings_not_compatible(h17_12):
-    ok, cycle_type = compatibility_check(h17_12)
-    assert not ok
-    assert sum(cycle_type) == len(h17_12.entries)
 
 
 def test_empty_report_is_pass():
