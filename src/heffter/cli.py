@@ -15,7 +15,9 @@ Where --modulus is optional (``verify --level globally-simple``,
 ``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
 with k fills in every row, and any other grid is refused with exit 2.
 ``decompose`` leaves no partial output: when it cannot write the cols file
-it removes the rows file it wrote.  Identical invocations print identical
+it removes the rows file it wrote, and it refuses --rows-out and --cols-out
+that name one file.  ``orthogonality`` reads only cycle files exactly as
+``decompose`` writes them.  Identical invocations print identical
 output.
 """
 
@@ -195,6 +197,8 @@ def cmd_partial_sums(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if os.path.realpath(args.rows_out) == os.path.realpath(args.cols_out):
+        raise ValueError("--rows-out and --cols-out name the same file")
     grid = _load_grid(args.path)
     modulus = args.modulus if args.modulus is not None else default_modulus(grid)
     try:

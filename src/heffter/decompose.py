@@ -26,20 +26,22 @@ one Fortran-order ``memoryview`` copy turns a run's columns into its lines,
 and deleting the NULs leaves the text.  A run longer than ``_CHUNK_BYTES``
 allows is cut, so the writer holds the O(M) table and one chunk of at most
 ``_CHUNK_BYTES`` bytes, whatever k is.  It writes ``<path>.tmp`` and renames
-it, so a failed write leaves no partial file.  The reader recognises a file
-in exactly that form, comparing it chunk by chunk with the translates of
-each block's first line and certifying those bases by their differences, so
-it holds no more than the writer.  Any other file (a hand-made one, stray
-whitespace, a line out of place, a repeated difference) is read explicitly,
-line by line, and checked by its edge index, which reports every error.
+it, so a failed write leaves no partial file.
 
-Two cyclic systems meet only along equal differences: if base C_i owns the
-edge u -> u+d and base C'_j owns v -> v+d, then C_i + s and C'_j + t share
-that edge exactly when t - s = u - v (mod M).  So ``orthogonality`` of two
-cyclic systems groups the differences by (i, j, u - v mod M); the largest
-group is the most edges two cycles share, and the worst pair is the greatest
-(i*M + M-1, j*M + (M-1 + u-v) mod M) over the largest groups.  Any other
-pair of systems is joined edge by edge.
+``read_system`` takes a cycle file only in exactly that form.  It compares
+each block of M lines, chunk by chunk, with the translates of the block's
+first line and certifies those bases by their differences, so it holds no
+more than the writer.  Any other file (a hand-made one, stray whitespace, a
+line out of place, a repeated difference) is refused with a ValueError that
+names its malformed header, its first line that differs, or the repeated
+difference; the CLI exits 2 on it.
+
+Two systems meet only along equal differences: if base C_i owns the edge
+u -> u+d and base C'_j owns v -> v+d, then C_i + s and C'_j + t share that
+edge exactly when t - s = u - v (mod M).  So ``orthogonality`` groups the
+differences by (i, j, u - v mod M); the largest group is the most edges two
+cycles share, and the worst pair is the greatest
+(i*M + M-1, j*M + (M-1 + u-v) mod M) over the largest groups.
 """
 
 from __future__ import annotations
@@ -93,56 +95,13 @@ def base_cycle(grid: HeffterGrid, kind: str, a: int, modulus: int) -> tuple[int,
     return trace.residues
 
 
-class CycleSystem:
-    """A set of pairwise edge-disjoint k-cycles on Z_M, listed explicitly.
-
-    ``system_from_text`` certifies the disjointness by ``edge_index``, so
-    the cycles cover exactly k * count edges.
-    """
-
-    def __init__(self, modulus: int, k: int, cycles: list[tuple[int, ...]]) -> None:
-        self.modulus = modulus
-        self.k = k
-        self.cycles = cycles
-
-    @property
-    def count(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def is_complete(self) -> bool:
-        return self.missing_edge_count() == 0
-
-    def missing_edge_count(self) -> int:
-        M = self.modulus
-        return M * (M - 1) // 2 - self.k * self.count
-
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Each edge's cycle id, built on first use.
-
-        Raises NotADecomposition (naming the edge and both cycle ids) if two
-        cycles share an edge.
-        """
-        index: dict[Edge, int] = {}
-        for cid, cyc in enumerate(self.cycles):
-            for e in cycle_edges(cyc):
-                if e in index:
-                    raise NotADecomposition(f"edge {e} in cycles {index[e]} and {cid}")
-                index[e] = cid
-        return index
-
-    def line_chunks(self) -> Iterator[bytes]:
-        """The cycle-file lines after the header, each ending in a newline."""
-        yield "".join(f"{' '.join(map(str, cyc))}\n" for cyc in self.cycles).encode()
-
-
-class CyclicSystem(CycleSystem):
+class CyclicSystem:
     """The translates C_i + t of base cycles certified by their differences.
 
     ``owner`` maps each difference d to (i, u): base C_i has the edge
     u -> u+d.  Cycle ``i*M + t`` is ``canonical_cycle(C_i + t)``; ``cycles``
-    lists them in that order on first use.
+    lists them in that order and ``edge_index`` maps each edge to its cycle
+    id, both on first use.
     """
 
     def __init__(self, modulus: int, k: int, bases: list[tuple[int, ...]],
@@ -156,11 +115,23 @@ class CyclicSystem(CycleSystem):
     def count(self) -> int:
         return len(self.bases) * self.modulus
 
+    @property
+    def is_complete(self) -> bool:
+        return self.missing_edge_count() == 0
+
+    def missing_edge_count(self) -> int:
+        M = self.modulus
+        return M * (M - 1) // 2 - self.k * self.count
+
     @cached_property
     def cycles(self) -> list[tuple[int, ...]]:
         M = self.modulus
         return [canonical_cycle([(v + t) % M for v in base])
                 for base in self.bases for t in range(M)]
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        return {e: cid for cid, cyc in enumerate(self.cycles) for e in cycle_edges(cyc)}
 
     def line_chunks(self) -> Iterator[bytes]:
         """M lines per base, one base at a time, in chunks of at most ``_CHUNK_BYTES``."""
@@ -276,7 +247,8 @@ def _owners(bases: list[tuple[int, ...]], modulus: int) -> dict[int, tuple[int, 
 def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CyclicSystem:
     """All translates C + t of the base cycles, certified by their differences.
 
-    Raises NotSimple if a base cycle repeats a vertex mod M, and
+    Raises ValueError if there is no base cycle or one has fewer than 3
+    vertices, NotSimple if a base cycle repeats a vertex mod M, and
     NotADecomposition (naming the difference and both base cycle ids) if a
     difference d or its negative occurs twice.  For even M, d = M/2 is its
     own negative: its orbit covers each of its edges twice, so it counts as
@@ -285,6 +257,8 @@ def develop(base_cycles: Iterable[Sequence[int]], modulus: int) -> CyclicSystem:
     bases = [tuple(v % modulus for v in base) for base in base_cycles]
     if not bases:
         raise ValueError("no base cycles")
+    if len(bases[0]) < 3:
+        raise ValueError(f"a base cycle needs at least 3 vertices, got {len(bases[0])}")
     return CyclicSystem(modulus, len(bases[0]), bases, _owners(bases, modulus))
 
 
@@ -295,32 +269,17 @@ def line_system(grid: HeffterGrid, kind: str, modulus: int) -> CyclicSystem:
     return develop(bases, modulus)
 
 
-def orthogonality(first: CycleSystem, second: CycleSystem) -> tuple[bool, int, tuple[int, int]]:
+def orthogonality(first: CyclicSystem, second: CyclicSystem) -> tuple[bool, int, tuple[int, int]]:
     """Whether every cycle pair across the two systems shares at most one edge.
 
     Returns (verdict, max shared edges, the cycle-id pair achieving the
-    maximum, the greatest such pair on ties).  Two cyclic systems are joined
-    by their differences in O(M); any other pair looks up each edge of each
-    cycle of ``second`` in the edge index of ``first`` (linear in the edge
-    count).
+    maximum, the greatest such pair on ties, or (-1, -1) if no edge is
+    shared).  The systems are joined by their difference owners in O(M);
+    each comes from ``develop`` or from a file ``read_system`` accepted,
+    which is exactly what ``write_system`` writes.
     """
     if first.modulus != second.modulus:
         raise ValueError("cycle systems live on different vertex sets")
-    if isinstance(first, CyclicSystem) and isinstance(second, CyclicSystem):
-        return _difference_join(first, second)
-    index = first.edge_index
-    best = (0, -1, -1)
-    for cid, cyc in enumerate(second.cycles):
-        shared = Counter(map(index.get, cycle_edges(cyc)))
-        shared.pop(None, None)
-        for other, count in shared.items():
-            best = max(best, (count, other, cid))
-    worst, a, b = best
-    return worst <= 1, worst, (a, b)
-
-
-def _difference_join(first: CyclicSystem, second: CyclicSystem) -> tuple[bool, int, tuple[int, int]]:
-    """``orthogonality`` of two cyclic systems from their difference owners."""
     M = first.modulus
     groups: Counter[tuple[int, int, int]] = Counter()
     for d, (i, u) in first.owner.items():
@@ -339,87 +298,14 @@ def _difference_join(first: CyclicSystem, second: CyclicSystem) -> tuple[bool, i
 
 # -- cycle-system files --------------------------------------------------
 
-_CYCLE_HEADER = re.compile(r"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\s*$")
-# A line of ASCII digits and whitespace splits into [0-9]+ fields; int()
-# would also take "1_0", signs and non-ASCII digits.
-_VERTICES = re.compile(r"[0-9\s]+")
+_CYCLE_HEADER = re.compile(rb"#cycles M=([0-9]+) k=([0-9]+) count=([0-9]+)\n")
 
 
 def _header(modulus: int, k: int, count: int) -> str:
     return f"#cycles M={modulus} k={k} count={count}\n"
 
 
-def system_to_text(system: CycleSystem) -> str:
-    body = b"".join(system.line_chunks()).decode("ascii")
-    return _header(system.modulus, system.k, system.count) + body
-
-
-def system_from_text(text: str) -> CycleSystem:
-    """Read a cycle file line by line and check it by its edge index."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty cycle file")
-    match = _CYCLE_HEADER.match(lines[0])
-    if not match:
-        raise ValueError("missing or malformed #cycles header")
-    M, k, count = (int(g) for g in match.groups())
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != count:
-        raise ValueError(f"expected {count} cycles, found {len(body)}")
-    cycles = []
-    for cid, line in enumerate(body):
-        if not _VERTICES.fullmatch(line):
-            raise ValueError(f"cycle {cid}: vertices must be ASCII decimal integers")
-        cyc = tuple(map(int, line.split()))
-        if len(cyc) != k:
-            raise ValueError(f"cycle {cid} has length {len(cyc)}, expected {k}")
-        if max(cyc) >= M:
-            raise ValueError(f"cycle {cid}: vertex {max(cyc)} is not in Z_{M}")
-        if len(set(cyc)) != k:
-            raise ValueError(f"cycle {cid} repeats a vertex")
-        cycles.append(cyc)
-    system = CycleSystem(M, k, cycles)
-    system.edge_index  # raises NotADecomposition if two cycles share an edge
-    return system
-
-
-def _read_cyclic(fh: BinaryIO) -> CyclicSystem | None:
-    """The system of a file exactly as ``write_system`` writes a cyclic one, else None."""
-    header = fh.readline().decode("latin-1")
-    match = _CYCLE_HEADER.match(header)
-    if not match:
-        return None
-    M, k, count = (int(g) for g in match.groups())
-    if header != _header(M, k, count) or not 3 <= k <= M or count == 0 or count % M:
-        return None
-    # each line holds k vertices and k separators, so a file too short for
-    # its header builds no table of M tokens
-    if os.fstat(fh.fileno()).st_size < 2 * k * count:
-        return None
-    tokens = _Tokens(M)
-    bases = []
-    for _ in range(count // M):
-        at = fh.tell()
-        try:
-            base = tuple(map(int, fh.readline().split()))
-        except ValueError:
-            return None
-        if len(base) != k or len(set(base)) != k or min(base) < 0 or max(base) >= M:
-            return None
-        fh.seek(at)
-        if any(fh.read(len(chunk)) != chunk for chunk in _translates(base, M, tokens)):
-            return None
-        bases.append(base)
-    if fh.read(1):
-        return None
-    try:
-        owner = _owners(bases, M)
-    except NotADecomposition:  # the explicit reader names the shared edge
-        return None
-    return CyclicSystem(M, k, bases, owner)
-
-
-def write_system(path, system: CycleSystem) -> None:
+def write_system(path, system: CyclicSystem) -> None:
     """Write a cycle file through ``<path>.tmp``, so a failed write leaves no partial file."""
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -436,15 +322,74 @@ def write_system(path, system: CycleSystem) -> None:
         raise
 
 
-def read_system(path) -> CycleSystem:
-    """Read a cycle file, as a cyclic system when it is one.
+def read_system(path) -> CyclicSystem:
+    """Read a cycle file exactly as ``write_system`` writes it.
 
-    Every file that is not exactly what ``write_system`` writes for a cyclic
-    system goes through ``system_from_text``, which reports what is wrong.
+    Any other file raises a ValueError, on which the CLI exits 2, that
+    starts with the path and names the malformed header, the first line that
+    is not what ``write_system`` writes there for its block's first line, or
+    the repeated difference.
     """
     with open(path, "rb") as fh:
-        system = _read_cyclic(fh)
-    if system is None:
-        with open(path, encoding="utf-8") as fh:
-            system = system_from_text(fh.read())
-    return system
+        try:
+            return _read(fh)
+        except ValueError as exc:
+            raise ValueError(f"{os.fspath(path)}: {exc}") from exc
+
+
+def _read(fh: BinaryIO) -> CyclicSystem:
+    header = fh.readline(256)  # far longer than any header write_system writes
+    match = _CYCLE_HEADER.fullmatch(header)
+    if not match or header != _header(*map(int, match.groups())).encode():
+        raise ValueError("line 1: malformed #cycles header")
+    M, k, count = map(int, match.groups())
+    if not 3 <= k <= M:
+        raise ValueError(f"line 1: #cycles header needs 3 <= k <= M, got k={k}, M={M}")
+    if count == 0 or count % M:
+        raise ValueError(f"line 1: #cycles header needs count a positive multiple of M, "
+                         f"got count={count}, M={M}")
+    # each line holds k vertices and k separators, so a file too short for
+    # its header builds no table of M tokens
+    size = os.fstat(fh.fileno()).st_size
+    if size < 2 * k * count:
+        raise ValueError(f"line 1: #cycles header needs at least {2 * k * count} bytes "
+                         f"for {count} cycles of length {k}, the file has {size}")
+    tokens = _Tokens(M)
+    width = k * (len(str(M - 1)) + 1)  # the longest line
+    bases = []
+    for b in range(count // M):
+        line, at = 2 + b * M, fh.tell()
+        fields = fh.readline(width).split()
+        if not all(map(bytes.isdigit, fields)):
+            raise ValueError(f"line {line}: vertices must be ASCII decimal integers")
+        base = tuple(map(int, fields))
+        if len(base) != k:
+            raise ValueError(f"line {line}: expected {k} vertices")
+        if max(base) >= M:
+            raise ValueError(f"line {line}: vertex {max(base)} is not in Z_{M}")
+        if len(set(base)) != k:
+            raise ValueError(f"line {line} repeats a vertex")
+        fh.seek(at)
+        for chunk in _translates(base, M, tokens):
+            if fh.read(len(chunk)) != chunk:
+                raise ValueError(_first_difference(fh, at, line, base, M, tokens))
+        bases.append(base)
+    if fh.read(1):
+        raise ValueError(f"line {2 + count}: expected the end of the file")
+    return CyclicSystem(M, k, bases, _owners(bases, M))
+
+
+def _first_difference(fh: BinaryIO, at: int, line: int, base: tuple[int, ...],
+                      modulus: int, tokens: _Tokens) -> str:
+    """Name the first line of the block at byte ``at`` (file line ``line``) that differs.
+
+    The block is known to differ somewhere from the translates of ``base``.
+    """
+    fh.seek(at)
+    lines = (want for chunk in _translates(base, modulus, tokens)
+             for want in chunk.splitlines(keepends=True))
+    t, want = next((t, want) for t, want in enumerate(lines) if fh.read(len(want)) != want)
+    text = want.decode().rstrip("\n")
+    if t == 0:
+        return f"line {line}: expected {text}, the canonical form of its cycle"
+    return f"line {line + t}: expected {text}, the translate of line {line} by {t}"

@@ -26,13 +26,12 @@ condition (2), compatible orderings, is not constructed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .grid import HeffterGrid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
-from .shifted import build_shifted
+from .shifted import build_shifted, least_coprime
 from .verify import verify_globally_simple, verify_heffter, verify_integer
 
 
@@ -124,10 +123,6 @@ def build_h4p3(
     return merged, MergeParams(n, p, alpha, eps, beta, t, 2 * n * k + 1)
 
 
-def _least_coprime(n: int, start: int) -> int:
-    return next(v for v in itertools.count(start) if math.gcd(n, v) == 1)
-
-
 def _candidates(n: int, p: int, eps: int | None, alpha: int | None) -> tuple[int, int] | None:
     """The admissible (eps, alpha) for n = 0 mod 4, or None if there is none.
 
@@ -143,9 +138,9 @@ def _candidates(n: int, p: int, eps: int | None, alpha: int | None) -> tuple[int
         eps, alpha = 3, n // 2 - 1
     elif eps is None or alpha is None:
         if eps is None:
-            eps = _least_coprime(n, 3)
+            eps = least_coprime(n, 3)
         if alpha is None:
-            alpha = _least_coprime(n, 2 * p + eps)
+            alpha = least_coprime(n, 2 * p + eps)
         if math.gcd(n, eps * alpha) != 1:
             return None
     if (eps <= (n - 4 * p) / 2 and 2 * p + eps <= alpha <= n - eps - 2 * p

@@ -7,9 +7,15 @@ every line sums to exactly 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .grid import HeffterGrid
+
+
+def least_coprime(n: int, start: int) -> int:
+    """The least integer >= start coprime to n."""
+    return next(v for v in itertools.count(start) if math.gcd(n, v) == 1)
 
 
 def choose_alpha(n: int, p: int) -> int:
@@ -17,10 +23,10 @@ def choose_alpha(n: int, p: int) -> int:
     if n < 4 * p:
         raise ValueError(f"need n >= 4p, got n = {n} < {4 * p}")
     lo, hi = 2 * p - 1, n - 1 - 2 * p
-    for alpha in range(lo, hi + 1):
-        if math.gcd(n, alpha) == 1:
-            return alpha
-    raise ValueError(f"no alpha coprime to {n} in [{lo}, {hi}]")
+    alpha = least_coprime(n, lo)
+    if alpha > hi:
+        raise ValueError(f"no alpha coprime to {n} in [{lo}, {hi}]")
+    return alpha
 
 
 def build_shifted(n: int, p: int, gamma: int, alpha: int) -> HeffterGrid:

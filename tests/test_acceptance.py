@@ -154,6 +154,21 @@ def test_criterion_7_orthogonal_decompositions(n, M):
     assert ok and worst == 1
 
 
+# the theorem's boundary: n = k and n = k+1 for H(n;4p), n = 4p+5 and
+# n = 4p+8 for H(n;4p+3); each is certified in-process, with no cycle file
+@pytest.mark.parametrize("n,k", [(100, 100), (101, 100), (101, 99), (104, 99)])
+def test_criterion_7_boundary_orders(n, k):
+    grid = h4p(n, k // 4) if k % 4 == 0 else h4p3(n, k // 4)[0]
+    M = 2 * n * k + 1
+    assert verify_heffter(grid, k, k).overall
+    assert verify_integer(grid).overall
+    assert verify_globally_simple(grid, M).overall
+    rows, cols = line_system(grid, "row", M), line_system(grid, "col", M)
+    assert rows.is_complete and cols.is_complete
+    ok, worst, _ = orthogonality(rows, cols)
+    assert ok and worst == 1
+
+
 # -- criterion 8: H(n;3) builder and relocation --------------------------
 
 

@@ -14,6 +14,7 @@ import heffter
 from heffter import cli
 from heffter.cli import main
 from heffter.construct4p import build_h4p
+from heffter.decompose import line_system, write_system
 from heffter.gridio import grid_to_text
 
 
@@ -181,15 +182,15 @@ def test_orthogonality_rejects_malformed_vertices(tmp_path, capsys, h17_12_cycle
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join([header, vertex + first[1:], rest]), encoding="utf-8")
     code, out, err = run(capsys, "orthogonality", str(bad), str(cols))
-    assert code == 2 and out == "" and "cycle 0" in err and message in err
+    assert code == 2 and out == "" and f"{bad}: line 2: " in err and message in err
 
 
 def test_orthogonality_rejects_a_repeated_vertex(tmp_path, capsys):
     # vertex 0 twice, but no edge twice, so an edge index alone accepts it
     bad = tmp_path / "bad.txt"
-    bad.write_text("#cycles M=7 k=6 count=1\n0 1 2 0 3 4\n", encoding="utf-8")
+    bad.write_text("#cycles M=7 k=6 count=7\n" + "0 1 2 0 3 4\n" * 7, encoding="utf-8")
     code, out, err = run(capsys, "orthogonality", str(bad), str(bad))
-    assert code == 2 and out == "" and "cycle 0 repeats a vertex" in err
+    assert (code, out, err) == (2, "", f"error: {bad}: line 2 repeats a vertex\n")
 
 
 def test_usage_error_unknown_command(capsys):
@@ -311,13 +312,15 @@ NO_DEFAULT_MODULUS = [
     ("verify", "{data}/h17_12.txt", "--p", "7", "--gamma", "9"),
     ("verify", "{data}/h17_12.txt", "--level", "integer", "--gamma", "9"),
     ("compatibility", "{data}/h17_12.txt"),
+    ("decompose", "{data}/h17_12.txt", "--rows-out", "{tmp}/x.txt", "--cols-out", "{tmp}/./x.txt"),
     *NO_DEFAULT_MODULUS,
 ], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
         "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
         "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
         "construct-h3-p", "verify-gamma-neg", "verify-s-t", "verify-heffter-p-gamma",
-        "verify-integer-gamma", "compatibility-removed", "partial-sums-no-default-modulus",
-        "decompose-no-default-modulus", "verify-no-default-modulus"])
+        "verify-integer-gamma", "compatibility-removed", "decompose-same-out",
+        "partial-sums-no-default-modulus", "decompose-no-default-modulus",
+        "verify-no-default-modulus"])
 def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
     argv = [arg.format(tmp=tmp_path, data=data_dir) for arg in argv]
     code, out, err = run(capsys, *argv)
@@ -343,6 +346,21 @@ def test_decompose_reports_a_non_simple_grid_once(tmp_path, capsys, data_dir):
     assert code == 1 and out == ""
     assert err.startswith("decomposition failed: row 0: partial sums collide at positions ")
     assert len(err.splitlines()) == 1
+    assert not rows.exists() and not cols.exists()
+
+
+@pytest.mark.parametrize("text,extra,k", [
+    ("#heffter m=2 n=2 s=0 t=0\n,\n,\n", (), 0),
+    ("#heffter m=1 n=1 s=1 t=1\n5\n", ("--modulus", "5"), 1),
+    ("#heffter m=2 n=2 s=2 t=2\n1,-1\n-1,1\n", (), 2),
+])
+def test_decompose_refuses_lines_of_fewer_than_3_fills(tmp_path, capsys, text, extra, k):
+    grid = tmp_path / "g.txt"
+    grid.write_text(text, encoding="utf-8")
+    rows, cols = tmp_path / "rows.txt", tmp_path / "cols.txt"
+    assert run(capsys, "decompose", str(grid), *extra, "--rows-out", str(rows),
+               "--cols-out", str(cols)) == (
+        2, "", f"error: a base cycle needs at least 3 vertices, got {k}\n")
     assert not rows.exists() and not cols.exists()
 
 
@@ -401,4 +419,20 @@ def test_decompose_and_orthogonality_run_in_o_m_memory(tmp_path):
     assert peak < PEAK_LIMIT_MB, f"decompose peaked at {peak:.1f} MB"
     code, peak = _peak_rss_mb(["orthogonality", str(rows), str(cols)], out)
     assert code == 0 and out.read_text().startswith("ORTHOGONAL max-shared-edges=1 ")
+    assert peak < PEAK_LIMIT_MB, f"orthogonality peaked at {peak:.1f} MB"
+
+
+def test_orthogonality_refuses_a_swapped_line_in_o_m_memory(tmp_path):
+    # the same files with lines 2 and 3 of cols swapped; an explicit reader
+    # and edge index of this file took about 1 GB
+    grid = build_h4p(100, 3)
+    rows, cols = tmp_path / "rows.txt", tmp_path / "cols.txt"
+    write_system(rows, line_system(grid, "row", 2401))
+    write_system(cols, line_system(grid, "col", 2401))
+    lines = cols.read_bytes().split(b"\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    cols.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out.txt"
+    code, peak = _peak_rss_mb(["orthogonality", str(rows), str(cols)], out)
+    assert code == 2 and out.read_text() == ""
     assert peak < PEAK_LIMIT_MB, f"orthogonality peaked at {peak:.1f} MB"

@@ -2,7 +2,9 @@ import contextlib
 import io
 import pathlib
 import random
+import re
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from heffter import decompose
 from heffter.cli import main
 from heffter.decompose import (
-    CycleSystem,
     CyclicSystem,
     NotADecomposition,
     NotSimple,
@@ -22,8 +23,6 @@ from heffter.decompose import (
     line_system,
     orthogonality,
     read_system,
-    system_from_text,
-    system_to_text,
     write_system,
 )
 from heffter.grid import HeffterGrid
@@ -34,24 +33,58 @@ from oracle_tables import H17_12_ROW0_CYCLE
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def explicit_system(bases, M):
-    """Every translate C + t, listed in develop's order and joined edge by edge."""
-    translates = [tuple((v + t) % M for v in base) for base in bases for t in range(M)]
-    return CycleSystem(M, len(bases[0]), translates)
+def translates(bases, M):
+    """Every translate C + t, listed in develop's order."""
+    return [tuple((v + t) % M for v in base) for base in bases for t in range(M)]
+
+
+def explicit_index(cycles):
+    """Each edge's cycle id, indexed edge by edge; NotADecomposition if two cycles share one."""
+    index = {}
+    for cid, cyc in enumerate(cycles):
+        for e in cycle_edges(cyc):
+            if e in index:
+                raise NotADecomposition(f"edge {e} in cycles {index[e]} and {cid}")
+            index[e] = cid
+    return index
+
+
+def edge_join(first, second):
+    """``orthogonality`` by brute force: look up each edge of ``second`` in ``first``'s index."""
+    index = explicit_index(first)
+    best = (0, -1, -1)
+    for cid, cyc in enumerate(second):
+        shared = Counter(map(index.get, cycle_edges(cyc)))
+        shared.pop(None, None)
+        for other, count in shared.items():
+            best = max(best, (count, other, cid))
+    worst, a, b = best
+    return worst <= 1, worst, (a, b)
 
 
 def reference_index(bases, M):
     """Index every edge of every translate explicitly; None if two cycles share one."""
     try:
-        return explicit_system(bases, M).edge_index
+        return explicit_index(translates(bases, M))
     except NotADecomposition:
         return None
 
 
+def header(M, k, count):
+    return f"#cycles M={M} k={k} count={count}\n"
+
+
 def reference_text(bases, M):
     """The cycle file of the translates, canonicalised one cycle at a time."""
-    cycles = [canonical_cycle([(v + t) % M for v in base]) for base in bases for t in range(M)]
-    return system_to_text(CycleSystem(M, len(bases[0]), cycles))
+    cycles = [canonical_cycle(cyc) for cyc in translates(bases, M)]
+    return header(M, len(bases[0]), len(cycles)) + "".join(f"{' '.join(map(str, c))}\n"
+                                                            for c in cycles)
+
+
+def streamed_text(system):
+    """The cycle file that ``write_system`` writes for ``system``."""
+    body = b"".join(system.line_chunks()).decode("ascii")
+    return header(system.modulus, system.k, system.count) + body
 
 
 def simple_line_bases(grid, kind, M):
@@ -199,22 +232,27 @@ def test_cyclic_invariance(h17_12):
 
 def test_system_round_trip(tmp_path):
     system = develop([(0, 1, 3)], 7)
-    text = system_to_text(system)
-    assert text.startswith("#cycles M=7 k=3 count=7\n")
-    again = system_from_text(text)
-    assert again.cycles == system.cycles
     path = tmp_path / "c.txt"
     write_system(path, system)
-    assert read_system(path).cycles == system.cycles
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("#cycles M=7 k=3 count=7\n")
+    assert text == streamed_text(system) == reference_text([(0, 1, 3)], 7)
+    again = read_system(path)
+    assert (again.modulus, again.k, again.bases, again.owner) == (7, 3, system.bases, system.owner)
+    assert again.cycles == system.cycles
 
 
-def test_system_parse_errors():
-    with pytest.raises(ValueError):
-        system_from_text("")
-    with pytest.raises(ValueError):
-        system_from_text("#cycles M=7 k=3 count=2\n0 1 3\n")
-    with pytest.raises(ValueError):
-        system_from_text("#cycles M=7 k=3 count=1\n0 1\n")
+def test_system_parse_errors(tmp_path):
+    path = tmp_path / "c.txt"
+    for text, error in [
+        ("", "line 1: malformed #cycles header"),
+        ("#cycles M=7 k=3 count=2\n0 1 3\n",
+         "line 1: #cycles header needs count a positive multiple of M, got count=2, M=7"),
+        ("#cycles M=7 k=2 count=7\n0 1\n", "line 1: #cycles header needs 3 <= k <= M, got k=2, M=7"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+            read_system(path)
 
 
 # -- the difference join and the streamed cycle files --------------------
@@ -239,10 +277,8 @@ def certified_bases(data, M, label):
 def test_difference_join_matches_edge_join_on_random_bases(data):
     M = data.draw(st.integers(7, 40), label="M")  # odd and even
     first, second = certified_bases(data, M, "first"), certified_bases(data, M, "second")
-    cyclic = develop(first, M), develop(second, M)
-    assert all(isinstance(system, CyclicSystem) for system in cyclic)
-    assert orthogonality(*cyclic) == orthogonality(explicit_system(first, M),
-                                                   explicit_system(second, M))
+    assert orthogonality(develop(first, M), develop(second, M)) == edge_join(
+        translates(first, M), translates(second, M))
 
 
 @pytest.mark.parametrize("modulus", ["default", 1001])
@@ -257,11 +293,11 @@ def test_difference_join_matches_edge_join_on_data_grids(name, modulus):
             cyclic[kind] = develop(kind_bases, M)
         except ValueError:
             continue
-        explicit[kind] = explicit_system(kind_bases, M)
+        explicit[kind] = translates(kind_bases, M)
     for a, b in (("row", "col"), ("row", "row"), ("col", "row")):
         if a not in cyclic or b not in cyclic:
             continue
-        assert orthogonality(cyclic[a], cyclic[b]) == orthogonality(explicit[a], explicit[b])
+        assert orthogonality(cyclic[a], cyclic[b]) == edge_join(explicit[a], explicit[b])
 
 
 @given(st.data())
@@ -271,7 +307,7 @@ def test_streamed_text_matches_explicit_text_on_random_bases(data):
     base = st.lists(st.integers(0, M - 1), min_size=k, max_size=k, unique=True)
     bases = data.draw(st.lists(base, min_size=1, max_size=3), label="bases")
     system = CyclicSystem(M, k, [tuple(b) for b in bases], {})  # the writer needs no certificate
-    assert system_to_text(system) == reference_text(bases, M)
+    assert streamed_text(system) == reference_text(bases, M)
 
 
 @pytest.mark.parametrize("modulus", ["default", 1000])  # odd and even M
@@ -285,15 +321,14 @@ def test_streamed_files_match_explicit_text_on_data_grids(tmp_path, name, modulu
         if not bases:
             continue
         text = reference_text(bases, M)
-        assert system_to_text(CyclicSystem(M, len(bases[0]), bases, {})) == text
+        assert streamed_text(CyclicSystem(M, len(bases[0]), bases, {})) == text
         try:
             system = develop(bases, M)
         except NotADecomposition:
             continue
         write_system(path, system)
         assert path.read_text(encoding="utf-8") == text
-        again = read_system(path)
-        assert isinstance(again, CyclicSystem) and again.cycles == system.cycles
+        assert read_system(path).cycles == system.cycles
 
 
 # moduli on each side of every change in the number of digits of M - 1
@@ -308,7 +343,7 @@ def test_chunks_match_explicit_text_across_token_widths(M, data):
     base = st.lists(st.integers(0, M - 1), min_size=k, max_size=k, unique=True)
     bases = data.draw(st.lists(base, min_size=1, max_size=2), label="bases")
     system = CyclicSystem(M, k, [tuple(b) for b in bases], {})
-    assert system_to_text(system) == reference_text(bases, M)
+    assert streamed_text(system) == reference_text(bases, M)
 
 
 @pytest.mark.parametrize("layout", [("H", 2, 3), ("I", 4, 2), ("Q", 8, 2)])
@@ -319,7 +354,7 @@ def test_tokens_of_several_parts_give_the_same_text(monkeypatch, layout):
     for M in (3, 11, 1001, 10001):
         k = min(M, 5)
         bases = [tuple(rng.sample(range(M), k)) for _ in range(2)]
-        assert system_to_text(CyclicSystem(M, k, bases, {})) == reference_text(bases, M)
+        assert streamed_text(CyclicSystem(M, k, bases, {})) == reference_text(bases, M)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1000])
@@ -331,7 +366,7 @@ def test_runs_cut_into_small_chunks_give_the_same_text(monkeypatch, budget):
         system = CyclicSystem(M, 5, bases, {})
         line = 5 * len(str(M - 1)) + 5  # a line of the widest vertices
         assert max(map(len, system.line_chunks())) <= max(budget, line)
-        assert system_to_text(system) == reference_text(bases, M)
+        assert streamed_text(system) == reference_text(bases, M)
 
 
 @pytest.mark.parametrize("M", [1, 9, 10, 10**7, 10**7 + 1, 10**8, 10**15 + 1, 10**40])
@@ -392,74 +427,102 @@ def h17_12_files(tmp_path_factory):
     return rows, cols
 
 
-def test_reader_takes_decompose_files_as_cyclic(h17_12_files):
+def test_reader_takes_decompose_files_as_cyclic(h17_12_files, h17_12):
     rows, cols = h17_12_files
-    assert all(isinstance(read_system(path), CyclicSystem) for path in (rows, cols))
+    for path, kind in ((rows, "row"), (cols, "col")):
+        assert read_system(path).cycles == line_system(h17_12, kind, 409).cycles
     assert run("orthogonality", rows, cols) == (
         0, "ORTHOGONAL max-shared-edges=1 worst-pair=6952,6952\n", "")
 
 
-# Each file below is read explicitly and gives what the explicit reader and
-# the edge join gave before the cyclic reader existed.
+# Every file below differs from what decompose writes, and is refused with
+# exit 2, nothing on stdout, and the line at fault.
 
 
-def test_hand_made_file_is_joined_edge_by_edge(tmp_path):
+def test_hand_made_file_is_refused(tmp_path):
+    # the 7 translates of (0,1,3), a decomposition of K_7, sorted instead of
+    # listed translate by translate
     hand = tmp_path / "hand.txt"
-    hand.write_text("#cycles M=7 k=3 count=2\n0 1 3\n2 4 6\n", encoding="utf-8")
-    assert not isinstance(read_system(hand), CyclicSystem)
+    hand.write_text("#cycles M=7 k=3 count=7\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6\n",
+                    encoding="utf-8")
     assert run("orthogonality", hand, hand) == (
-        1, "NOT ORTHOGONAL max-shared-edges=3 worst-pair=1,1\n", "")
+        2, "", f"error: {hand}: line 3: expected 1 2 4, the translate of line 2 by 1\n")
 
 
-def test_extra_space_falls_back_to_the_explicit_reader(tmp_path, h17_12_files):
+def test_extra_space_is_refused_at_its_line(tmp_path, h17_12_files):
     rows, cols = h17_12_files
     lines = rows.read_text(encoding="utf-8").split("\n")
+    want = lines[5]
     lines[5] += " "
     spaced = tmp_path / "spaced.txt"
     spaced.write_text("\n".join(lines), encoding="utf-8")
-    assert not isinstance(read_system(spaced), CyclicSystem)
-    assert run("orthogonality", spaced, cols) == (
-        0, "ORTHOGONAL max-shared-edges=1 worst-pair=6952,6952\n", "")
-    code, out, err = run("orthogonality", cols, spaced, "--json")
-    assert (code, err) == (0, "") and out.startswith('{\n  "orthogonal": true,\n')
+    error = f"error: {spaced}: line 6: expected {want}, the translate of line 2 by 4\n"
+    assert run("orthogonality", spaced, cols) == (2, "", error)
+    assert run("orthogonality", cols, spaced, "--json") == (2, "", error)
 
 
-def test_corrupt_translate_names_the_shared_edge(tmp_path, h17_12_files):
+def test_corrupt_translate_names_its_line(tmp_path, h17_12_files):
     rows, cols = h17_12_files
     lines = rows.read_text(encoding="utf-8").split("\n")
     M = 409
-    a, b, *rest = lines[M + 2].split()  # line M+3 of the file, the second translate of base 1
+    want = lines[M + 2]  # line M+3 of the file, the second translate of base 1
+    a, b, *rest = want.split()
     lines[M + 2] = " ".join([b, a, *rest])
     corrupt = tmp_path / "corrupt.txt"
     corrupt.write_text("\n".join(lines), encoding="utf-8")
     assert run("orthogonality", corrupt, cols) == (
-        2, "", "error: edge (0, 5) in cycles 410 and 1636\n")
+        2, "", f"error: {corrupt}: line 412: expected {want}, the translate of line 411 by 1\n")
 
 
-def test_cyclic_file_with_a_repeated_difference_names_the_shared_edge(tmp_path):
+def test_first_line_out_of_canonical_form_names_its_line(tmp_path):
+    # (1,3,0) is the cycle (0,1,3), but not in its canonical rotation
+    text = reference_text([(0, 1, 3)], 7).replace("\n0 1 3\n", "\n1 3 0\n")
+    rotated = tmp_path / "rotated.txt"
+    rotated.write_text(text, encoding="utf-8")
+    assert run("orthogonality", rotated, rotated) == (
+        2, "", f"error: {rotated}: line 2: expected 0 1 3, the canonical form of its cycle\n")
+
+
+def test_cyclic_file_with_a_repeated_difference_names_the_difference(tmp_path):
     # (0,1,3) and (0,1,5) both have the difference 1; each block is a true orbit
     repeat = tmp_path / "repeat.txt"
     repeat.write_text(reference_text([(0, 1, 3), (0, 1, 5)], 13), encoding="utf-8")
+    assert reference_index([(0, 1, 3), (0, 1, 5)], 13) is None
     assert run("orthogonality", repeat, repeat) == (
-        2, "", "error: edge (0, 1) in cycles 0 and 13\n")
+        2, "", f"error: {repeat}: difference 1 in base cycles 0 and 1\n")
 
 
 @pytest.mark.parametrize("text,error", [
-    ("#cycles M=0 k=3 count=1\n0 1 2\n", "cycle 0: vertex 2 is not in Z_0"),
-    ("#cycles M=1000000 k=3 count=1000000\n0 1 3\n", "expected 1000000 cycles, found 1"),
-    ("#cycles M=7 k=3 count=7\n0 1 3\n", "expected 7 cycles, found 1"),
-])
-def test_headers_the_cyclic_reader_cannot_take(tmp_path, text, error):
+    ("#cycles M=0 k=3 count=1\n0 1 2\n", "#cycles header needs 3 <= k <= M, got k=3, M=0"),
+    ("#cycles M=1000000 k=3 count=1000000\n0 1 3\n",
+     "#cycles header needs at least 6000000 bytes for 1000000 cycles of length 3, the file has 42"),
+    ("#cycles M=7 k=3 count=7\n0 1 3\n",
+     "#cycles header needs at least 42 bytes for 7 cycles of length 3, the file has 30"),
+    ("#cycles M=07 k=3 count=7\n" + "0 1 3\n" * 7, "malformed #cycles header"),
+    ("#cycles M=7 k=3 count=7 \n" + "0 1 3\n" * 7, "malformed #cycles header"),
+], ids=["k-above-M", "short-for-M", "short", "leading-zero", "trailing-space"])
+def test_headers_the_reader_refuses(tmp_path, text, error):
     path = tmp_path / "c.txt"
     path.write_text(text, encoding="utf-8")
-    assert run("orthogonality", path, path) == (2, "", f"error: {error}\n")
+    assert run("orthogonality", path, path) == (2, "", f"error: {path}: line 1: {error}\n")
 
 
-def test_undecodable_byte_is_reported_at_its_file_offset(tmp_path, h17_12_files):
+def test_trailing_line_is_refused(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(reference_text([(0, 1, 3)], 7) + "\n", encoding="utf-8")
+    assert run("orthogonality", path, path) == (
+        2, "", f"error: {path}: line 9: expected the end of the file\n")
+
+
+def test_undecodable_byte_is_reported_at_its_line(tmp_path, h17_12_files):
     rows, cols = h17_12_files
     data = rows.read_bytes()
     bad = tmp_path / "bad.txt"
     bad.write_bytes(data[:200000] + b"\xff" + data[200001:])
+    line = data[:200000].count(b"\n") + 1
+    first = 2 + (line - 2) // 409 * 409
+    assert line > first
+    want = data.split(b"\n")[line - 1].decode()
     assert run("orthogonality", bad, cols) == (
-        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 200000: "
-               "invalid start byte\n")
+        2, "", f"error: {bad}: line {line}: expected {want}, "
+               f"the translate of line {first} by {line - first}\n")
