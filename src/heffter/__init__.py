@@ -8,7 +8,7 @@ from .grid import (
     natural_order,
     partial_sums,
 )
-from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid, write_grid
+from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .merge import MergeParams, NoParameters, build_h4p3
 from .shifted import build_shifted, choose_alpha
@@ -31,7 +31,6 @@ __all__ = [
     "grid_from_text",
     "grid_to_text",
     "read_grid",
-    "write_grid",
     "Check",
     "VerificationReport",
     "verify_heffter",

@@ -14,8 +14,9 @@ a level that does not read them, and infers s and t from the grid's fills.
 Where --modulus is optional (``verify --level globally-simple``,
 ``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
 with k fills in every row, and any other grid is refused with exit 2.
-``decompose`` leaves no partial output: when it cannot write the cols file
-it removes the rows file it wrote, and it refuses --rows-out and --cols-out
+``decompose`` leaves no partial output: it writes both cycle files before
+it renames either into place, so a failed run leaves an earlier file at
+--rows-out or --cols-out as it was, and it refuses --rows-out and --cols-out
 that name one file.  ``orthogonality`` reads only cycle files exactly as
 ``decompose`` writes them.  Identical invocations print identical
 output.
@@ -24,6 +25,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -207,18 +209,38 @@ def cmd_decompose(args) -> int:
     except (decompose.NotSimple, decompose.NotADecomposition) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    decompose.write_system(args.rows_out, rows)
-    try:
-        decompose.write_system(args.cols_out, cols)
-    except OSError:
-        os.remove(args.rows_out)  # a failed run leaves no partial output
-        raise
+    _write_systems([(args.rows_out, rows), (args.cols_out, cols)])
     for label, system in (("rows", rows), ("cols", cols)):
         status = "complete" if system.is_complete else f"missing {system.missing_edge_count()} edges"
         print(f"{label}: {system.count} cycles of length {system.k} on Z_{modulus}, {status}")
     if not (rows.is_complete and cols.is_complete):
         return EXIT_FAIL
     return EXIT_PASS
+
+
+def _write_systems(outputs: list[tuple[str, decompose.CyclicSystem]]) -> None:
+    """Write every cycle file to ``<path>.new`` first, then rename each into place.
+
+    A failed write leaves every earlier file at its path untouched, and its
+    error names the path asked for, not the staging file.
+    """
+    staged = []
+    try:
+        for path, system in outputs:
+            staged.append(f"{path}.new")
+            try:
+                decompose.write_system(staged[-1], system)
+            except OSError as exc:
+                if exc.filename is not None:
+                    exc.filename = path
+                raise
+        for (path, _), new in zip(outputs, staged):
+            os.replace(new, path)
+    except BaseException:
+        for new in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(new)
+        raise
 
 
 def cmd_orthogonality(args) -> int:

@@ -112,6 +112,34 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+def _set_field(a, j, value):
+    def edit(rows):
+        rows[a][j] = value
+    return edit
+
+
+def _pad_empty_fields_of_row_0_and_break_row_299(rows):
+    rows[0] = [f or " \t" for f in rows[0]]
+    rows[299][299] = "x"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_field(5, 299, "1.0"), "bad entry '1.0' at line 7, field 300"),
+    (_set_field(5, 299, "0"), "cell (5,299) holds 0; empty cells must be absent"),
+    # whitespace-only fields are empty cells, so the first error is in the last row
+    (_pad_empty_fields_of_row_0_and_break_row_299, "bad entry 'x' at line 301, field 300"),
+], ids=["bad-field-300", "zero-entry", "whitespace-only-fields"])
+def test_verify_refuses_malformed_sparse_grids(tmp_path, capsys, edit, message):
+    # H(300;12) leaves 96% of its fields empty
+    header, *lines = grid_to_text(build_h4p(300, 3)).splitlines()
+    rows = [line.split(",") for line in lines]
+    edit(rows)
+    path = tmp_path / "sparse.txt"
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_verify_json(capsys, data_dir):
     code, out, _ = run(capsys, "verify", str(data_dir / "h17_12.txt"), "--json")
     assert code == 0
@@ -327,6 +355,17 @@ def test_usage_and_io_errors_exit_2(tmp_path, capsys, data_dir, argv):
     assert code == 2 and out == "" and err.strip()
     # no partial output either: decompose-cols-out must not leave its rows file
     assert not any(tmp_path.iterdir())
+
+
+def test_failed_decompose_keeps_an_earlier_rows_file(tmp_path, capsys, data_dir):
+    rows, cols = tmp_path / "r.txt", tmp_path / "missing" / "c.txt"
+    rows.write_text("previous\n", encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(rows), "--cols-out", str(cols))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(cols)!r}\n"
+    assert rows.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
 
 
 def test_one_default_modulus_refusal(tmp_path, capsys, data_dir):
