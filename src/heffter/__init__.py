@@ -1,6 +1,6 @@
 """Globally simple Heffter arrays: construction, verification, decomposition."""
 
-from .construct4p import build_h4p, expected_diagonal_support
+from .construct4p import build_h4p
 from .grid import (
     HeffterGrid,
     PartialSumTrace,
@@ -10,7 +10,7 @@ from .grid import (
 )
 from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
-from .merge import MergeParams, NoParameters, build_h4p3
+from .merge import MergeParams, build_h4p3
 from .shifted import build_shifted, choose_alpha
 from .verify import (
     Check,
@@ -38,7 +38,6 @@ __all__ = [
     "verify_globally_simple",
     "verify_support_shifted",
     "build_h4p",
-    "expected_diagonal_support",
     "build_shifted",
     "choose_alpha",
     "build_h3_base",
@@ -46,7 +45,6 @@ __all__ = [
     "cyclic_shift",
     "build_h4p3",
     "MergeParams",
-    "NoParameters",
 ]
 
 __version__ = "0.1.0"

@@ -2,15 +2,15 @@
 
 Subcommands: construct, verify, partial-sums, decompose, orthogonality.
 Exit codes: 0 all checks pass, 1 a property check failed, 2 usage or input
-errors, 3 the verifier rejected the (eps, alpha, shift) of an h4p3 merge,
-from its closed form or from --alpha/--eps/--shift.
+errors.
 Exit 2 has one path: argparse refusals (a --modulus below 1 among them) and
 every ValueError or OSError a command raises, such as a malformed or
-unreadable input file or an unwritable output path, print an error to stderr
-and nothing to stdout.  ``construct`` refuses --p, --gamma, --alpha,
---eps and --shift for a family that does not read them, and verifies every
-array before it writes it.  ``verify`` refuses --modulus, --p and --gamma at
-a level that does not read them, and infers s and t from the grid's fills.
+unreadable input file, parameters a construction does not cover or an
+unwritable output path, print an error to stderr and nothing to stdout.
+``construct`` refuses --p, --gamma, --alpha and --eps for a family that
+does not read them, and verifies every array before it writes it.
+``verify`` refuses --modulus, --p and --gamma at a level that does not read
+them, and infers s and t from the grid's fills.
 Where --modulus is optional (``verify --level globally-simple``,
 ``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
 with k fills in every row, and any other grid is refused with exit 2.
@@ -45,7 +45,6 @@ from .verify import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_NO_ARRAY = 3
 
 
 def _emit_report(report: VerificationReport, as_json: bool) -> int:
@@ -98,11 +97,11 @@ def _verify_level(grid: HeffterGrid, level: str, s: int | None = None, t: int | 
 
 # the optional construction flags each family reads
 _FAMILY_FLAGS = {"h4p": ("p",), "shifted": ("p", "gamma", "alpha"), "h3": (),
-                 "h4p3": ("p", "alpha", "eps", "shift")}
+                 "h4p3": ("p", "alpha", "eps")}
 
 
 def cmd_construct(args) -> int:
-    ignored = [f"--{flag}" for flag in ("p", "gamma", "alpha", "eps", "shift")
+    ignored = [f"--{flag}" for flag in ("p", "gamma", "alpha", "eps")
                if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]]
     if ignored:
         raise ValueError(f"family {args.family} does not use {', '.join(ignored)}")
@@ -127,10 +126,9 @@ def cmd_construct(args) -> int:
     else:  # h4p3; argparse restricts the choices
         if args.p is None:
             raise ValueError("--p is required for family h4p3")
-        grid, mp = merge.build_h4p3(args.n, args.p, alpha=args.alpha,
-                                    eps=args.eps, shift=args.shift)
+        grid, mp = merge.build_h4p3(args.n, args.p, alpha=args.alpha, eps=args.eps)
         params.update(p=args.p, k=4 * args.p + 3, alpha=mp.alpha, eps=mp.eps,
-                      beta=mp.beta, t=mp.shift, M=mp.modulus)
+                      beta=mp.beta, M=mp.modulus)
 
     level = "support-shifted" if args.family == "shifted" else "globally-simple"
     report = _verify_level(grid, level, params["k"], params["k"], params["M"],
@@ -219,27 +217,31 @@ def cmd_decompose(args) -> int:
 
 
 def _write_systems(outputs: list[tuple[str, decompose.CyclicSystem]]) -> None:
-    """Write every cycle file to ``<path>.new`` first, then rename each into place.
+    """Write every cycle file to a staging file first, then rename each into place.
 
-    A failed write leaves every earlier file at its path untouched, and its
-    error names the path asked for, not the staging file.
+    Each staging file is a new file with a random name, created exclusively
+    in its output's directory, so staging overwrites neither an existing
+    file nor another output.  A failed write leaves every earlier file at
+    its path untouched, and its error names the path asked for, not the
+    staging file.
     """
+    import tempfile  # here, to keep it out of every other command's start-up
+
     staged = []
     try:
         for path, system in outputs:
-            staged.append(f"{path}.new")
-            try:
-                decompose.write_system(staged[-1], system)
-            except OSError as exc:
-                if exc.filename is not None:
-                    exc.filename = path
-                raise
+            fd, new = tempfile.mkstemp(".new", dir=os.path.dirname(path) or ".")
+            staged.append(new)
+            os.close(fd)
+            decompose.write_system(new, system)
         for (path, _), new in zip(outputs, staged):
             os.replace(new, path)
-    except BaseException:
+    except BaseException as exc:
         for new in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(new)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -284,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--gamma", type=int)
     p_con.add_argument("--alpha", type=int)
     p_con.add_argument("--eps", type=int)
-    p_con.add_argument("--shift", type=int)
     p_con.add_argument("--out", help="output path (default: stdout)")
     p_con.add_argument("--json", action="store_true")
     p_con.set_defaults(func=cmd_construct)
@@ -333,9 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except merge.NoParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ARRAY
 
 
 if __name__ == "__main__":

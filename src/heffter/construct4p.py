@@ -13,16 +13,12 @@ from __future__ import annotations
 from .grid import HeffterGrid
 
 
-def _check_params(n: int, p: int) -> None:
+def build_h4p(n: int, p: int) -> HeffterGrid:
+    """Globally simple integer H(n;4p) for p >= 1 and n >= 4p."""
     if p < 1:
         raise ValueError("p must be positive")
     if n < 4 * p:
         raise ValueError(f"need n >= 4p, got n = {n} < {4 * p}")
-
-
-def build_h4p(n: int, p: int) -> HeffterGrid:
-    """Globally simple integer H(n;4p) for p >= 1 and n >= 4p."""
-    _check_params(n, p)
     k = 4 * p
     entries: dict[tuple[int, int], int] = {}
 
@@ -60,44 +56,3 @@ def build_h4p(n: int, p: int) -> HeffterGrid:
         put(k - 2 + x, x, -(2 * p + 1 + k * x))
         put(k - 1 + x, x, k + k * xp)
     return HeffterGrid(n, n, entries)
-
-
-def expected_diagonal_support(n: int, p: int, d: int) -> tuple[int, frozenset[int]]:
-    """Residue class the support of diagonal D_d must realize.
-
-    Returns (S_d, {S_d + kx : x in [n]}).  This is computed from the
-    constant terms of the entry formulas alone and serves as a cross-check
-    against the actual per-diagonal support of a built array.
-    """
-    _check_params(n, p)
-    k = 4 * p
-    if not 0 <= d < k:
-        raise ValueError(f"diagonal label {d} not in [0, {k})")
-    if p % 2 == 1:
-        if d == 2 * p - 2:
-            s = 2 * p - 1
-        elif d == 2 * p - 1:
-            s = 2 * p
-        elif d == k - 2:
-            s = 2 * p + 1
-        elif d == k - 1:
-            s = k
-        elif d < 2 * p - 2:
-            i, r = divmod(d, 4)
-            s = (4 * i + 1, 4 * i + 2, k - (4 * i + 3), k - (4 * i + 4))[r]
-        else:
-            i, r = divmod(d - 2 * p, 4)
-            s = (2 * p - 2 - 4 * i, 2 * p - 3 - 4 * i, 2 * p + 4 + 4 * i, 2 * p + 5 + 4 * i)[r]
-    else:
-        specials = {2 * p - 4: 2 * p - 3, 2 * p - 3: 2 * p - 2,
-                    k - 6: 4, k - 5: 3, k - 4: k - 2, k - 3: k - 1,
-                    k - 2: 2 * p + 1, k - 1: k}
-        if d in specials:
-            s = specials[d]
-        elif d < 2 * p - 4:
-            i, r = divmod(d, 4)
-            s = (4 * i + 1, 4 * i + 2, k - (4 * i + 3), k - (4 * i + 4))[r]
-        else:
-            i, r = divmod(d - (2 * p - 2), 4)
-            s = (2 * p - 4 * i, 2 * p - 1 - 4 * i, 2 * p + 2 + 4 * i, 2 * p + 3 + 4 * i)[r]
-    return s, frozenset(s + k * x for x in range(n))

@@ -38,9 +38,6 @@ class VerificationReport:
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_text(self) -> str:
         lines = [c.to_text() for c in self.checks]
         lines.append(f"OVERALL {'PASS' if self.overall else 'FAIL'}")

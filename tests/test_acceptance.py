@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from heffter import merge
 from heffter.cli import main as cli_main
 from heffter.construct4p import build_h4p
 from heffter.decompose import line_system, orthogonality
@@ -123,6 +124,55 @@ def test_criterion_5_h4p3_sweep():
         assert verify_globally_simple(grid, M).overall, (n, p)
 
 
+# -- criteria 3 and 5 across the theorem's range -------------------------
+
+
+def assert_globally_simple_both_moduli(grid, k):
+    """Levels heffter, integer and globally-simple, and simple mod 2nk+2 too."""
+    M = 2 * grid.n * k + 1
+    assert verify_heffter(grid, k, k).overall
+    assert verify_integer(grid).overall
+    report = verify_globally_simple(grid, M, also_mod_plus_one=True)
+    assert [c.name for c in report.checks] == [f"natural-simple-mod-{M}",
+                                               f"natural-simple-mod-{M + 1}"]
+    assert report.overall
+
+
+@pytest.mark.slow
+def test_every_h4p_up_to_100():
+    built = 0
+    for n in range(4, 101):
+        for p in range(1, n // 4 + 1):
+            grid = build_h4p(n, p)
+            assert_globally_simple_both_moduli(grid, 4 * p)
+            built += 1
+    assert built == 1225
+
+
+def random_h4p3_order(rng):
+    """A random (n, p) with 101 <= n < 700 that build_h4p3 covers without overrides."""
+    while True:
+        n = rng.choice([n for n in range(101, 700) if n % 4 in (0, 1)])
+        p = rng.randint(1, (n - 3) // 4)
+        if n % 4 == 1 or merge._candidates(n, p, None, None):
+            return n, p
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["h4p", "h4p3"])
+def test_seeded_sample_below_700(family):
+    rng = random.Random(f"theorem-range-{family}")
+    for _ in range(32):
+        if family == "h4p":
+            n = rng.randrange(101, 700)
+            p = rng.randint(1, n // 4)
+            grid, k = build_h4p(n, p), 4 * p
+        else:
+            n, p = random_h4p3_order(rng)
+            grid, k = build_h4p3(n, p)[0], 4 * p + 3
+        assert_globally_simple_both_moduli(grid, k)
+
+
 # -- criterion 6: merged arrays with n = 0 mod 4 -------------------------
 
 
@@ -132,7 +182,6 @@ def test_criterion_6_h4p3_even_spot_checks(n, p):
     k = 4 * p + 3
     assert math.gcd(n, params.eps) == 1 and math.gcd(n, params.alpha) == 1
     assert params.beta == 2 * p + params.alpha - params.eps - 1
-    assert 0 <= params.shift < n
     assert verify_heffter(grid, k, k).overall
     assert verify_integer(grid).overall
     assert verify_globally_simple(grid, 2 * n * k + 1).overall

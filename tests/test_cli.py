@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import heffter
-from heffter import cli
+from heffter import cli, merge
 from heffter.cli import main
 from heffter.construct4p import build_h4p
 from heffter.decompose import line_system, write_system
@@ -47,7 +48,7 @@ def test_construct_h4p3_matches_golden(tmp_path, capsys, data_dir):
                        "--alpha", "8", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text() == (data_dir / "h17_15.txt").read_text()
-    assert "alpha=8" in err and "t=0" in err
+    assert err == "PARAMS family=h4p3 M=511 alpha=8 beta=11 eps=2 k=15 n=17 p=3\n"
 
 
 def test_construct_to_stdout(capsys):
@@ -233,16 +234,23 @@ def test_docstring_lists_exactly_the_subcommands():
     assert [name.rstrip(",") for name in listed] == list(sub.choices)
 
 
-def test_construction_failure_exit_code(capsys):
-    # the verifier rejects the closed-form (eps, alpha) = (2, 8) at shift 2
-    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3",
-                         "--shift", "2")
-    assert code == 3 and out == "" and "no (eps, alpha, shift) verified" in err
+def exit_codes_named(text):
+    """Every integer in the "Exit codes: ..." sentence of ``text``."""
+    sentence = re.search(r"Exit codes: (.*?)\.(?:\s|$)", text, re.DOTALL).group(1)
+    return [int(code) for code in re.findall(r"\b\d+\b", sentence)]
+
+
+def test_docs_list_exactly_the_exit_codes():
+    constants = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    assert constants == [0, 1, 2]
+    assert exit_codes_named(cli.__doc__) == constants
+    assert exit_codes_named(readme.read_text(encoding="utf-8")) == constants
 
 
 @pytest.mark.parametrize("argv,flags", [
-    (("--family", "h4p", "--n", "12", "--p", "3", "--shift", "5", "--gamma", "2", "--eps", "9"),
-     "--gamma, --eps, --shift"),
+    (("--family", "h4p", "--n", "12", "--p", "3", "--gamma", "2", "--eps", "9"),
+     "--gamma, --eps"),
     (("--family", "h3", "--n", "8", "--alpha", "3"), "--alpha"),
     (("--family", "shifted", "--n", "17", "--p", "3", "--gamma", "3", "--eps", "2"), "--eps"),
     (("--family", "h4p3", "--n", "17", "--p", "3", "--gamma", "3"), "--gamma"),
@@ -253,21 +261,27 @@ def test_construct_refuses_flags_the_family_ignores(capsys, argv, flags):
     assert code == 2 and out == "" and f"does not use {flags}" in err
 
 
-@pytest.mark.parametrize("shift", ["-17", "-1", "17", "40"])
+def test_rejected_overlay_exits_2_and_names_its_parameters(capsys, monkeypatch):
+    # no input build_h4p3 accepts is known to reach this (see test_merge's sweeps)
+    monkeypatch.setattr(merge, "_full_verify", lambda grid, n, k: False)
+    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: the verifier rejected the overlay for n=17, p=3, eps=2, alpha=8\n"
+
+
+@pytest.mark.parametrize("shift", ["-17", "-1", "0", "17", "40"])
 def test_construct_refuses_shift_outside_the_order(capsys, shift):
+    # h4p3 builds one array per (n, p, eps, alpha), so no shift is an option
     code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "17", "--p", "3",
                          "--shift", shift)
-    assert code == 2 and out == "" and "shift" in err
+    assert code == 2 and out == ""
+    assert err.endswith(f"heffter: error: unrecognized arguments: --shift {shift}\n")
 
 
 def test_construct_forced_shift_keeps_the_closed_form_pair(capsys):
-    # n = 16, p = 1 has the closed-form pair (3, 7); shift 3 fails it and no
-    # other pair is tried
-    code, out, err = run(capsys, "construct", "--family", "h4p3", "--n", "16", "--p", "1",
-                         "--shift", "3")
-    assert code == 3 and out == "" and "no (eps, alpha, shift) verified" in err
+    # n = 16, p = 1 has the closed-form pair (3, 7), and no shift is applied
     code, _, err = run(capsys, "construct", "--family", "h4p3", "--n", "16", "--p", "1")
-    assert code == 0 and "alpha=7" in err and "eps=3" in err and "t=0" in err
+    assert (code, err) == (0, "PARAMS family=h4p3 M=225 alpha=7 beta=5 eps=3 k=7 n=16 p=1\n")
 
 
 def test_verify_rejects_non_ascii_header_digits(tmp_path, capsys):
@@ -366,6 +380,30 @@ def test_failed_decompose_keeps_an_earlier_rows_file(tmp_path, capsys, data_dir)
     assert err == f"error: [Errno 2] No such file or directory: {str(cols)!r}\n"
     assert rows.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+
+
+@pytest.mark.parametrize("rows_name,cols_name", [("a.new", "a"), ("b", "b.new")])
+def test_decompose_outputs_named_like_a_staging_file(tmp_path, capsys, data_dir, h17_12_cycles,
+                                                     rows_name, cols_name):
+    # one output's name is the other's plus ".new"; neither may be staged over the other
+    rows, cols = tmp_path / rows_name, tmp_path / cols_name
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(rows), "--cols-out", str(cols))
+    assert (code, err) == (0, "") and out.count(", complete\n") == 2
+    assert rows.read_bytes() == h17_12_cycles[0].read_bytes()
+    assert cols.read_bytes() == h17_12_cycles[1].read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([rows_name, cols_name])
+
+
+def test_decompose_into_a_directory_names_it(tmp_path, capsys, data_dir):
+    # the rename fails, and the message names the output, not a staging file
+    cols = tmp_path / "c"
+    cols.mkdir()
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(tmp_path / "r.txt"), "--cols-out", str(cols))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(cols)!r}\n"
+    assert not list(tmp_path.glob("*.new*"))
 
 
 def test_one_default_modulus_refusal(tmp_path, capsys, data_dir):

@@ -1,8 +1,9 @@
 import pytest
 
-from heffter.construct4p import build_h4p, expected_diagonal_support
+from heffter.construct4p import build_h4p
 from heffter.gridio import grid_to_text
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
+from reference import expected_diagonal_support
 
 
 def test_reproduces_h17_12(h17_12):

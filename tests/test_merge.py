@@ -5,7 +5,7 @@ import pytest
 
 from heffter import merge
 from heffter.gridio import grid_to_text
-from heffter.merge import MergeParams, NoParameters, build_h4p3
+from heffter.merge import MergeParams, build_h4p3
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
 
 
@@ -19,7 +19,7 @@ def full_check(grid, n, k):
 def test_reproduces_h17_15(h17_15):
     grid, params = build_h4p3(17, 3, alpha=8)
     assert grid_to_text(grid) == grid_to_text(h17_15)
-    assert params == MergeParams(n=17, p=3, alpha=8, eps=2, beta=11, shift=0, modulus=511)
+    assert params == MergeParams(n=17, p=3, alpha=8, eps=2, beta=11, modulus=511)
 
 
 def test_default_alpha_n_1_mod_4():
@@ -158,7 +158,7 @@ def test_every_theorem_order_up_to_61_uses_the_closed_form():
                     build_h4p3(n, p)
                 continue
             _, params = build_h4p3(n, p)
-            assert (params.eps, params.alpha, params.shift) == (*pair, 0), (n, p)
+            assert (params.eps, params.alpha) == pair, (n, p)
             built += 1
     assert built == 190
 
@@ -169,19 +169,47 @@ def test_every_theorem_order_up_to_61_uses_the_closed_form():
 ])
 def test_closed_form_pins(n, p, pair):
     _, params = build_h4p3(n, p)
-    assert (params.eps, params.alpha) == pair and params.shift == 0
+    assert (params.eps, params.alpha) == pair
 
 
-def test_forced_shift_has_no_fallback_pair():
-    # the closed-form pair (3, 7) fails at shift 3, and no other pair stands in
-    with pytest.raises(NoParameters):
-        build_h4p3(16, 1, shift=3)
+def sweep_overrides(max_n):
+    """Build every input build_h4p3 accepts with n < max_n, overrides included.
+
+    ``eps`` and ``alpha`` each range over None and every integer from -2 to
+    n+1.  Every refusal must come before the verifier; every array built
+    passed its check.  Returns the builds and the distinct (n, p, eps, alpha).
+    """
+    builds, distinct = 0, set()
+    for n in range(7, max_n):
+        if n % 4 not in (0, 1):
+            continue
+        overrides = [None, *range(-2, n + 2)]
+        for p in range(1, (n - 3) // 4 + 1):
+            for eps in overrides:
+                for alpha in overrides:
+                    try:
+                        _, params = build_h4p3(n, p, alpha=alpha, eps=eps)
+                    except ValueError as exc:
+                        assert not str(exc).startswith("the verifier"), (n, p, eps, alpha)
+                        continue
+                    builds += 1
+                    distinct.add((n, p, params.eps, params.alpha))
+    return builds, len(distinct)
+
+
+def test_every_override_below_40_verifies():
+    assert sweep_overrides(40) == (1222, 600)
+
+
+@pytest.mark.slow
+def test_every_override_below_90_verifies():
+    assert sweep_overrides(90) == (26_564, 16_928)
 
 
 @pytest.mark.slow
 def test_every_theorem_order_up_to_201():
     # every n = 0,1 mod 4 with n >= 4p+3 either merges or has no admissible
-    # (eps, alpha) at all; NoParameters must never be raised
+    # (eps, alpha) at all; the verifier must never reject an overlay
     for n in range(7, 202):
         if n % 4 not in (0, 1):
             continue
