@@ -17,15 +17,16 @@ with k fills in every row, and any other grid is refused with exit 2.
 ``decompose`` leaves no partial output: it writes both cycle files before
 it renames either into place, so a failed run leaves an earlier file at
 --rows-out or --cols-out as it was, and it refuses --rows-out and --cols-out
-that name one file.  ``orthogonality`` reads only cycle files exactly as
-``decompose`` writes them.  Identical invocations print identical
-output.
+that name one file or an existing directory.  ``orthogonality`` reads only
+cycle files exactly as ``decompose`` writes them.  Identical invocations
+print identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -207,6 +208,10 @@ def cmd_decompose(args) -> int:
     except (decompose.NotSimple, decompose.NotADecomposition) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    for path in (args.rows_out, args.cols_out):
+        # renaming onto a directory would fail only after the other output is in place
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     _write_systems([(args.rows_out, rows), (args.cols_out, cols)])
     for label, system in (("rows", rows), ("cols", cols)):
         status = "complete" if system.is_complete else f"missing {system.missing_edge_count()} edges"

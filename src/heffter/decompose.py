@@ -22,11 +22,16 @@ and direction and every vertex moves up by one per line, so each column of
 such a run is a range of consecutive vertices.  The writer makes the lines
 as bytes from a table of every vertex of Z_M as a fixed-width token (digits
 left-padded with NUL, then a separator): a column is one slice of the table,
-one Fortran-order ``memoryview`` copy turns a run's columns into its lines,
-and deleting the NULs leaves the text.  A run longer than ``_CHUNK_BYTES``
-allows is cut, so the writer holds the O(M) table and one chunk of at most
-``_CHUNK_BYTES`` bytes, whatever k is.  It writes ``<path>.tmp`` and renames
-it, so a failed write leaves no partial file.
+one strided ``array`` copy per column puts it in its place among a chunk's
+lines, and deleting the NULs leaves the text.  A run longer than
+``_CHUNK_BYTES`` allows is cut, so the writer holds the O(M) table and one
+chunk of at most ``_CHUNK_BYTES`` bytes, whatever k is.  It writes a staging
+file, created exclusively under a random name in the output's directory,
+and renames it to the output, so a failed write leaves no partial file.
+The staging file's exact length (a closed form in M, k and the count) is
+allocated before the first line: on ext4, renaming a file whose blocks are
+not yet allocated over an existing file waits for the kernel to allocate
+them and start writing them back.
 
 ``read_system`` takes a cycle file only in exactly that form.  It compares
 each block of M lines, chunk by chunk, with the translates of the block's
@@ -46,6 +51,7 @@ cycles share, and the worst pair is the greatest
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from collections import Counter
@@ -159,10 +165,11 @@ def _token_format(modulus: int) -> tuple[str, int, int]:
 class _Tokens:
     """Every vertex of Z_M as a fixed-width token: its digits left-padded with NUL, then a space.
 
-    A token is ``len(parts)`` items of ``size`` bytes.  ``parts[h]`` holds
-    item h of every vertex's token, vertex after vertex, so the tokens of
-    consecutive vertices are one slice of each part.  ``ended`` is the last
-    part with each space a newline, for the last column of a line.
+    A token is ``len(parts)`` items of ``size`` bytes.  ``parts[h]`` is a
+    memoryview of item h of every vertex's token, vertex after vertex, so
+    item h of the tokens of vertices v..v+n-1 is ``parts[h][v:v + n]``.
+    ``ended`` is the last part with each space a newline, for the last
+    column of a line.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -174,8 +181,13 @@ class _Tokens:
         # item-major: every vertex's first item, then every vertex's second, ...
         table = memoryview(table).cast(self.format, (modulus, parts)).tobytes("F")
         span = modulus * self.size
-        self.parts = [table[h * span:(h + 1) * span] for h in range(parts)]
-        self.ended = self.parts[-1].replace(b" ", b"\n")
+        self.parts = [memoryview(table[h * span:(h + 1) * span]).cast(self.format)
+                      for h in range(parts)]
+        self.ended = memoryview(table[-span:].replace(b" ", b"\n")).cast(self.format)
+        # replace skips from NUL to NUL and translate reads every byte; replace
+        # is the faster where fewer than one byte in 20 of the table is NUL
+        nuls = modulus * self.width - _digits(modulus) - modulus
+        self.sparse = 20 * nuls < modulus * self.width
 
     def lines(self, runs: list[tuple[Sequence[int], int]]) -> bytes:
         """The lines of consecutive runs, each given as (columns, count).
@@ -183,17 +195,24 @@ class _Tokens:
         A run has ``count`` lines, and its line s lists v + s for each v in
         ``columns``; no v + s may reach M.
         """
-        size, counts = self.size, [count for _, count in runs]
+        from array import array  # here, to keep it out of every other command's start-up
+
+        counts = [count for _, count in runs]
         starts = list(zip(*(columns for columns, _ in runs)))  # column by column
-        rows = [part[size * v:size * (v + n)]
+        rows = [part[v:v + n]
                 for part in self.parts for column in starts for v, n in zip(column, counts)]
-        rows[-len(runs):] = [self.ended[size * v:size * (v + n)]
-                             for v, n in zip(starts[-1], counts)]
-        # the rows hold item h of column c over all the lines, h-major; one
-        # Fortran-order copy lists the items line by line
-        shape = (len(self.parts), len(starts), sum(counts))
-        block = memoryview(b"".join(rows)).cast(self.format, shape)
-        return block.tobytes("F").translate(None, b"\0")
+        rows[-len(runs):] = [self.ended[v:v + n] for v, n in zip(starts[-1], counts)]
+        # row r = h*columns + c holds item h of column c over all the lines;
+        # one strided copy each puts them line by line, item h of column c at
+        # c*parts + h
+        items = array(self.format, b"".join(rows))
+        parts, columns, lines = len(self.parts), len(starts), sum(counts)
+        block = array(self.format, bytes(self.size * len(items)))
+        for r in range(parts * columns):
+            h, c = divmod(r, columns)
+            block[c * parts + h::parts * columns] = items[r * lines:(r + 1) * lines]
+        text = block.tobytes()
+        return text.replace(b"\0", b"") if self.sparse else text.translate(None, b"\0")
 
 
 def _translates(base: Sequence[int], modulus: int, tokens: _Tokens) -> Iterator[bytes]:
@@ -305,14 +324,66 @@ def _header(modulus: int, k: int, count: int) -> str:
     return f"#cycles M={modulus} k={k} count={count}\n"
 
 
-def write_system(path, system: CyclicSystem) -> None:
-    """Write a cycle file through ``<path>.tmp``, so a failed write leaves no partial file."""
-    tmp = os.fspath(path) + ".tmp"
+def _file_size(modulus: int, k: int, count: int) -> int:
+    """The length in bytes of the cycle file of ``count`` cycles of length k on Z_M.
+
+    Each column of a base's M translates passes every vertex of Z_M once,
+    each with its separator.
+    """
+    return len(_header(modulus, k, count)) + count // modulus * k * (_digits(modulus) + modulus)
+
+
+def _digits(modulus: int) -> int:
+    """The digits of 0, 1, ..., M-1 together: M*d - (10 + ... + 10**(d-1)), d those of M-1."""
+    d = len(str(modulus - 1))
+    return modulus * d - sum(10**j for j in range(1, d))
+
+
+def _reserve(fd: int, size: int) -> None:
+    """Allocate the first ``size`` bytes of the file, where the file system can.
+
+    On ext4 (with its default ``auto_da_alloc``) renaming a file that still
+    holds data without allocated blocks over an existing file makes the
+    kernel allocate the blocks and start writing them back before the rename
+    returns; a file whose blocks are allocated up front is renamed without
+    that wait.  Without ``posix_fallocate``, or where the file system
+    refuses it, the file is written as it is.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
     try:
-        with open(tmp, "wb") as fh:
+        fallocate(fd, 0, size)
+    except OSError as exc:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS):
+            raise
+
+
+def write_system(path, system: CyclicSystem) -> None:
+    """Write a cycle file through a new staging file, so a failed write leaves no partial file.
+
+    The staging file gets a random name, is created exclusively in the
+    directory of ``path`` (so it overwrites no other file), and takes the
+    mode ``open`` would give a new file.  Its exact length is allocated
+    before the first line is written, and checked before it is renamed to
+    ``path``.
+    """
+    import tempfile  # here, to keep it out of every other command's start-up
+
+    size = _file_size(system.modulus, system.k, system.count)
+    fd, tmp = tempfile.mkstemp(".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            _reserve(fd, size)
             fh.write(_header(system.modulus, system.k, system.count).encode())
             for chunk in system.line_chunks():
                 fh.write(chunk)
+            if fh.tell() != size:
+                # the allocation set the file's length; a shorter file would end in NULs
+                raise RuntimeError(f"wrote {fh.tell()} bytes of a cycle file, not {size}")
         os.replace(tmp, path)
     except BaseException:
         try:

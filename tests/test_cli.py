@@ -396,7 +396,7 @@ def test_decompose_outputs_named_like_a_staging_file(tmp_path, capsys, data_dir,
 
 
 def test_decompose_into_a_directory_names_it(tmp_path, capsys, data_dir):
-    # the rename fails, and the message names the output, not a staging file
+    # the message names the output, not a staging file
     cols = tmp_path / "c"
     cols.mkdir()
     code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
@@ -404,6 +404,37 @@ def test_decompose_into_a_directory_names_it(tmp_path, capsys, data_dir):
     assert (code, out) == (2, "")
     assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(cols)!r}\n"
     assert not list(tmp_path.glob("*.new*"))
+
+
+@pytest.mark.parametrize("directory", ["rows", "cols"])
+def test_decompose_into_a_directory_writes_nothing(tmp_path, capsys, data_dir, directory):
+    paths = {"rows": tmp_path / "r.cyc", "cols": tmp_path / "c.cyc"}
+    paths[directory].mkdir()
+    other = paths["cols" if directory == "rows" else "rows"]
+    other.write_bytes(b"earlier\n")
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(paths["rows"]), "--cols-out", str(paths["cols"]))
+    assert (code, out) == (2, "")
+    assert err == (f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                   f"{str(paths[directory])!r}\n")
+    assert other.read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cyc", "r.cyc"]
+
+
+def test_decompose_without_room_exits_2_and_keeps_earlier_files(tmp_path, capsys, data_dir,
+                                                                 monkeypatch):
+    def full(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    rows, cols = tmp_path / "r.cyc", tmp_path / "c.cyc"
+    rows.write_bytes(b"earlier\n")
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(rows), "--cols-out", str(cols))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert rows.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.cyc"]
 
 
 def test_one_default_modulus_refusal(tmp_path, capsys, data_dir):

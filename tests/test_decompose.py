@@ -1,8 +1,11 @@
 import contextlib
+import errno
 import io
+import os
 import pathlib
 import random
 import re
+import stat
 import struct
 from collections import Counter
 
@@ -410,6 +413,97 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     write_system(kept, develop([(0, 1, 3)], 7))
     assert kept.read_text(encoding="utf-8") == reference_text([(0, 1, 3)], 7)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+
+def spread_bases(M, k, count):
+    """``count`` bases of k vertices spread over Z_M, so the file's length needs no certificate."""
+    rng = random.Random(M)
+    return [tuple(rng.sample(range(M), k)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("M", WIDTH_MODULI)
+def test_file_length_is_the_closed_form(tmp_path, M):
+    k = min(M, 5)
+    bases = spread_bases(M, k, 2)
+    path = tmp_path / "c.txt"
+    write_system(path, CyclicSystem(M, k, bases, {}))
+    text = reference_text(bases, M).encode()
+    assert path.stat().st_size == decompose._file_size(M, k, 2 * M) == len(text)
+    assert path.read_bytes() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
+def test_file_length_is_the_closed_form_for_tokens_of_two_parts(tmp_path, monkeypatch):
+    monkeypatch.setattr(decompose, "_token_format", lambda modulus: ("H", 2, 2))
+    bases = spread_bases(101, 5, 2)
+    path = tmp_path / "c.txt"
+    write_system(path, CyclicSystem(101, 5, bases, {}))
+    assert path.read_bytes() == reference_text(bases, 101).encode()
+    assert path.stat().st_size == decompose._file_size(101, 5, 202)
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_wrong_length_is_refused_and_leaves_no_file(tmp_path, monkeypatch, error):
+    size = decompose._file_size
+    monkeypatch.setattr(decompose, "_file_size", lambda *args: size(*args) + error)
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("the previous file\n", encoding="utf-8")
+    for path in (fresh, kept):
+        with pytest.raises(RuntimeError, match="bytes of a cycle file"):
+            write_system(path, develop([(0, 1, 3)], 7))
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert kept.read_text(encoding="utf-8") == "the previous file\n"
+
+
+def test_file_is_the_same_without_preallocation(tmp_path, monkeypatch):
+    system = line_system(read_grid(DATA / "h17_12.txt"), "row", 409)
+    path = tmp_path / "c.txt"
+    write_system(path, system)
+    reserved = path.read_bytes()
+    monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    write_system(path, system)
+    assert path.read_bytes() == reserved
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
+@pytest.mark.parametrize("code", [errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS])
+def test_refused_preallocation_is_skipped(tmp_path, monkeypatch, code):
+    def refuse(fd, offset, size):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "posix_fallocate", refuse)
+    path = tmp_path / "c.txt"
+    write_system(path, develop([(0, 1, 3)], 7))
+    assert path.read_text(encoding="utf-8") == reference_text([(0, 1, 3)], 7)
+
+
+def test_failed_preallocation_writes_nothing(tmp_path, monkeypatch):
+    def full(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    with pytest.raises(OSError) as caught:
+        write_system(tmp_path / "c.txt", develop([(0, 1, 3)], 7))
+    assert caught.value.errno == errno.ENOSPC
+    assert not any(tmp_path.iterdir())
+
+
+def test_staging_leaves_other_files_alone(tmp_path):
+    # the staging file is a new one, never <path>.tmp or any other existing name
+    neighbour = tmp_path / "x.tmp"
+    neighbour.write_text("keep\n", encoding="utf-8")
+    write_system(tmp_path / "x", develop([(0, 1, 3)], 7))
+    assert neighbour.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x", "x.tmp"]
+
+
+def test_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_system(tmp_path / "c.txt", develop([(0, 1, 3)], 7))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "c.txt").stat().st_mode) == 0o640
 
 
 def run(*argv):
