@@ -1,13 +1,7 @@
 """Globally simple Heffter arrays: construction, verification, decomposition."""
 
 from .construct4p import build_h4p
-from .grid import (
-    HeffterGrid,
-    PartialSumTrace,
-    diagonal_order,
-    natural_order,
-    partial_sums,
-)
+from .grid import HeffterGrid, PartialSumTrace, partial_sums
 from .gridio import GridParseError, grid_from_text, grid_to_text, read_grid
 from .h3 import build_h3_base, cyclic_shift, relocate_h3
 from .merge import MergeParams, build_h4p3
@@ -24,8 +18,6 @@ from .verify import (
 __all__ = [
     "HeffterGrid",
     "PartialSumTrace",
-    "diagonal_order",
-    "natural_order",
     "partial_sums",
     "GridParseError",
     "grid_from_text",

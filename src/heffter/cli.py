@@ -14,25 +14,22 @@ them, and infers s and t from the grid's fills.
 Where --modulus is optional (``verify --level globally-simple``,
 ``partial-sums`` and ``decompose``) it defaults to 2nk+1 for a square grid
 with k fills in every row, and any other grid is refused with exit 2.
-``decompose`` leaves no partial output: it writes both cycle files before
-it renames either into place, so a failed run leaves an earlier file at
---rows-out or --cols-out as it was, and it refuses --rows-out and --cols-out
-that name one file or an existing directory.  ``orthogonality`` reads only
-cycle files exactly as ``decompose`` writes them.  Identical invocations
-print identical output.
+``decompose`` leaves no partial output: it stages both cycle files through
+``decompose.write_systems`` (see the ``decompose`` module docstring), and it
+refuses --rows-out and --cols-out that name one file or an existing
+directory.  ``orthogonality`` reads only cycle files exactly as
+``decompose`` writes them.  Identical invocations print identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import json
 import os
 import sys
 
 from . import construct4p, decompose, h3, merge, shifted
-from .grid import HeffterGrid, diagonal_order, natural_order, partial_sums
+from .grid import HeffterGrid, partial_sums
 from .gridio import grid_to_text, read_grid
 from .verify import (
     VerificationReport,
@@ -177,14 +174,13 @@ def cmd_verify(args) -> int:
 
 def cmd_partial_sums(args) -> int:
     grid = _load_grid(args.path)
-    order = natural_order if args.order == "natural" else diagonal_order
     modulus = args.modulus if args.modulus is not None else default_modulus(grid)
     kinds = ("row", "col") if args.lines == "both" else (args.lines[:-1],)
     exit_code = EXIT_PASS
     for kind in kinds:
         count = grid.m if kind == "row" else grid.n
         for a in range(count):
-            trace = partial_sums(grid, kind, a, order(grid, kind, a), modulus)
+            trace = partial_sums(grid, kind, a, modulus)
             sums = " ".join(str(v) for v in trace.sums)
             print(f"{kind} {a}: {sums}")
             if trace.collision is not None:
@@ -208,46 +204,13 @@ def cmd_decompose(args) -> int:
     except (decompose.NotSimple, decompose.NotADecomposition) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    for path in (args.rows_out, args.cols_out):
-        # renaming onto a directory would fail only after the other output is in place
-        if os.path.isdir(path) and not os.path.islink(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    _write_systems([(args.rows_out, rows), (args.cols_out, cols)])
+    decompose.write_systems([(args.rows_out, rows), (args.cols_out, cols)])
     for label, system in (("rows", rows), ("cols", cols)):
         status = "complete" if system.is_complete else f"missing {system.missing_edge_count()} edges"
         print(f"{label}: {system.count} cycles of length {system.k} on Z_{modulus}, {status}")
     if not (rows.is_complete and cols.is_complete):
         return EXIT_FAIL
     return EXIT_PASS
-
-
-def _write_systems(outputs: list[tuple[str, decompose.CyclicSystem]]) -> None:
-    """Write every cycle file to a staging file first, then rename each into place.
-
-    Each staging file is a new file with a random name, created exclusively
-    in its output's directory, so staging overwrites neither an existing
-    file nor another output.  A failed write leaves every earlier file at
-    its path untouched, and its error names the path asked for, not the
-    staging file.
-    """
-    import tempfile  # here, to keep it out of every other command's start-up
-
-    staged = []
-    try:
-        for path, system in outputs:
-            fd, new = tempfile.mkstemp(".new", dir=os.path.dirname(path) or ".")
-            staged.append(new)
-            os.close(fd)
-            decompose.write_system(new, system)
-        for (path, _), new in zip(outputs, staged):
-            os.replace(new, path)
-    except BaseException as exc:
-        for new in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(new)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            raise OSError(exc.errno, exc.strerror, path) from exc
-        raise
 
 
 def cmd_orthogonality(args) -> int:
@@ -308,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ps = sub.add_parser("partial-sums", help="print per-line partial sums")
     p_ps.add_argument("path")
     p_ps.add_argument("--lines", default="both", choices=["rows", "cols", "both"])
-    p_ps.add_argument("--order", default="natural", choices=["natural", "diagonal"])
     p_ps.add_argument("--modulus", type=_modulus)
     p_ps.set_defaults(func=cmd_partial_sums)
 

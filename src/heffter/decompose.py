@@ -25,13 +25,16 @@ left-padded with NUL, then a separator): a column is one slice of the table,
 one strided ``array`` copy per column puts it in its place among a chunk's
 lines, and deleting the NULs leaves the text.  A run longer than
 ``_CHUNK_BYTES`` allows is cut, so the writer holds the O(M) table and one
-chunk of at most ``_CHUNK_BYTES`` bytes, whatever k is.  It writes a staging
-file, created exclusively under a random name in the output's directory,
-and renames it to the output, so a failed write leaves no partial file.
-The staging file's exact length (a closed form in M, k and the count) is
-allocated before the first line: on ext4, renaming a file whose blocks are
-not yet allocated over an existing file waits for the kernel to allocate
-them and start writing them back.
+chunk of at most ``_CHUNK_BYTES`` bytes, whatever k is.
+
+``write_systems`` stages its files: it writes each one to a staging file,
+created exclusively under a random name in its output's directory, and
+renames them into place only once every one is written.  So a failed run
+leaves no partial file and every earlier file at an output as it was, and
+staging overwrites no other file.  A staging file's exact length (a closed
+form in M, k and the count) is allocated before its first line: on ext4,
+renaming a file whose blocks are not yet allocated over an existing file
+waits for the kernel to allocate them and start writing them back.
 
 ``read_system`` takes a cycle file only in exactly that form.  It compares
 each block of M lines, chunk by chunk, with the translates of the block's
@@ -51,6 +54,7 @@ cycles share, and the worst pair is the greatest
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import re
@@ -58,7 +62,7 @@ from collections import Counter
 from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .grid import HeffterGrid, natural_order, partial_sums
+from .grid import HeffterGrid, partial_sums
 
 Edge = tuple[int, int]
 
@@ -92,7 +96,7 @@ def base_cycle(grid: HeffterGrid, kind: str, a: int, modulus: int) -> tuple[int,
     Consecutive differences around the cycle are the line's entries, and the
     last vertex is 0 (the line sums to 0 mod M).
     """
-    trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
+    trace = partial_sums(grid, kind, a, modulus)
     if trace.sums and trace.sums[-1] % modulus != 0:
         raise NotSimple(f"{kind} {a}: total {trace.sums[-1]} not 0 mod {modulus}")
     if trace.collision is not None:
@@ -360,37 +364,59 @@ def _reserve(fd: int, size: int) -> None:
 
 
 def write_system(path, system: CyclicSystem) -> None:
-    """Write a cycle file through a new staging file, so a failed write leaves no partial file.
+    """Write one cycle file: ``write_systems`` with one output."""
+    write_systems([(path, system)])
 
-    The staging file gets a random name, is created exclusively in the
-    directory of ``path`` (so it overwrites no other file), and takes the
-    mode ``open`` would give a new file.  Its exact length is allocated
-    before the first line is written, and checked before it is renamed to
-    ``path``.
+
+def write_systems(outputs: Sequence[tuple[str | os.PathLike[str], CyclicSystem]]) -> None:
+    """Write every cycle file to its own staging file, then rename each into place.
+
+    A staging file gets a random name, is created exclusively in the
+    directory of its output (so it overwrites no other file, output or not),
+    and takes the mode ``open`` would give a new file.  Its exact length is
+    allocated before the first line is written and checked before any file
+    is renamed.  An existing directory as an output is refused before
+    anything is written, since renaming onto it would fail only after the
+    earlier outputs were in place.  On any failure every staging file is
+    removed, so each output keeps whatever file it held before, and an
+    ``OSError`` names the output asked for, not its staging file.
     """
     import tempfile  # here, to keep it out of every other command's start-up
 
-    size = _file_size(system.modulus, system.k, system.count)
-    fd, tmp = tempfile.mkstemp(".tmp", dir=os.path.dirname(path) or ".")
+    for path, _ in outputs:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    staged = []
     try:
-        with open(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            _reserve(fd, size)
-            fh.write(_header(system.modulus, system.k, system.count).encode())
-            for chunk in system.line_chunks():
-                fh.write(chunk)
-            if fh.tell() != size:
-                # the allocation set the file's length; a shorter file would end in NULs
-                raise RuntimeError(f"wrote {fh.tell()} bytes of a cycle file, not {size}")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
+        for path, system in outputs:
+            fd, tmp = tempfile.mkstemp(".tmp", dir=os.path.dirname(path) or ".")
+            staged.append(tmp)
+            _write(fd, system)
+        for (path, _), tmp in zip(outputs, staged):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _write(fd: int, system: CyclicSystem) -> None:
+    """Write the cycle file of ``system`` to the new, empty file ``fd`` and close it."""
+    size = _file_size(system.modulus, system.k, system.count)
+    with open(fd, "wb") as fh:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        _reserve(fd, size)
+        fh.write(_header(system.modulus, system.k, system.count).encode())
+        for chunk in system.line_chunks():
+            fh.write(chunk)
+        if fh.tell() != size:
+            # the allocation set the file's length; a shorter file would end in NULs
+            raise RuntimeError(f"wrote {fh.tell()} bytes of a cycle file, not {size}")
 
 
 def read_system(path) -> CyclicSystem:

@@ -1,4 +1,4 @@
-"""Partially filled integer grids, diagonals, line orderings and partial sums.
+"""Partially filled integer grids and the partial sums of their lines.
 
 A grid is an m x n array in which some cells hold a nonzero integer and the
 rest are empty.  Rows and columns are indexed from 0; all cell arithmetic is
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 Cell = tuple[int, int]
 LineKind = Literal["row", "col"]
@@ -91,48 +91,13 @@ class HeffterGrid:
             seen.add(abs(e))
         return seen, sorted(conflicts)
 
-    def diagonal_entry(self, d: int, kind: LineKind, a: int) -> int:
-        """Entry of diagonal d on row/column a; 0 when the cell is empty.
-
-        Defined for square grids only: for row a the cell is (a, a-d),
-        for column a it is (a+d, a), with d in [0, n).
-        """
-        if not self.is_square:
-            raise ValueError("diagonals are defined for square grids only")
-        n = self.n
-        if not 0 <= d < n:
-            raise ValueError(f"diagonal label {d} out of range for order {n}")
-        cell = (a, (a - d) % n) if kind == "row" else ((a + d) % n, a)
-        return self.entries.get(cell, 0)
-
-    def nonempty_diagonals(self) -> list[int]:
-        if not self.is_square:
-            raise ValueError("diagonals are defined for square grids only")
-        return sorted({(i - j) % self.n for i, j in self.entries})
-
-
-# -- line orderings ------------------------------------------------------
-
-
-def natural_order(grid: HeffterGrid, kind: LineKind, a: int) -> list[Cell]:
-    """Left-to-right for rows, top-to-bottom for columns."""
-    return grid.line_cells(kind, a)
-
-
-def diagonal_order(grid: HeffterGrid, kind: LineKind, a: int) -> list[Cell]:
-    """Filled cells of a line of a square grid by increasing diagonal label."""
-    if not grid.is_square:
-        raise ValueError("diagonal order is defined for square grids only")
-    n = grid.n
-    return sorted(grid.line_cells(kind, a), key=lambda c: (c[0] - c[1]) % n)
-
 
 # -- partial sums --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PartialSumTrace:
-    """Condition (1) data of one line under a given ordering.
+    """Condition (1) data of one line in its natural order.
 
     ``sums`` are the exact prefix sums, ``residues`` their residues in
     [0, M) and ``collision`` the lexicographically least pair of positions
@@ -144,19 +109,12 @@ class PartialSumTrace:
     collision: tuple[int, int] | None
 
 
-def partial_sums(
-    grid: HeffterGrid,
-    kind: LineKind,
-    a: int,
-    ordering: Sequence[Cell],
-    modulus: int,
-) -> PartialSumTrace:
-    """Prefix sums of one line's entries visited in the given cell order."""
+def partial_sums(grid: HeffterGrid, kind: LineKind, a: int, modulus: int) -> PartialSumTrace:
+    """Prefix sums of one line's entries, left to right on a row, top to bottom on a column."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    if sorted(ordering) != grid.line_cells(kind, a):
-        raise ValueError(f"ordering does not cover the filled cells of {kind} {a}")
-    sums = tuple(accumulate(grid.entries[c] for c in ordering))
+    entries = grid.entries
+    sums = tuple(accumulate(entries[c] for c in grid._line(kind, a)))
     residues = tuple(s % modulus for s in sums)
     collision = None
     if len(set(residues)) != len(residues):

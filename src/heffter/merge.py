@@ -61,7 +61,8 @@ def _full_verify(grid: HeffterGrid, n: int, k: int) -> bool:
     M = 2 * n * k + 1
     return (verify_heffter(grid, k, k).overall
             and verify_integer(grid).overall
-            and verify_globally_simple(grid, M, also_mod_plus_one=True).overall)
+            and verify_globally_simple(grid, M).overall
+            and verify_globally_simple(grid, M + 1).overall)
 
 
 def build_h4p3(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import HeffterGrid, natural_order, partial_sums
+from .grid import HeffterGrid, partial_sums
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _check_simplicity(grid: HeffterGrid, modulus: int, report: VerificationRepor
     bad = []
     for kind, count in (("row", grid.m), ("col", grid.n)):
         for a in range(count):
-            trace = partial_sums(grid, kind, a, natural_order(grid, kind, a), modulus)
+            trace = partial_sums(grid, kind, a, modulus)
             if trace.collision is not None:
                 i, j = trace.collision
                 bad.append(f"{kind} {a} positions {i},{j} (sum {trace.sums[i]} == {trace.sums[j]} mod {modulus})")
@@ -137,19 +137,15 @@ def verify_integer(grid: HeffterGrid) -> VerificationReport:
     return report
 
 
-def verify_globally_simple(grid: HeffterGrid, modulus: int | None = None,
-                           also_mod_plus_one: bool = False) -> VerificationReport:
+def verify_globally_simple(grid: HeffterGrid, modulus: int | None = None) -> VerificationReport:
     """Natural row and column orderings have pairwise distinct partial sums mod M.
 
-    M defaults to ``default_modulus(grid)``.  With ``also_mod_plus_one`` the
-    sums are additionally checked mod M+1.
+    M defaults to ``default_modulus(grid)``.
     """
     if modulus is None:
         modulus = default_modulus(grid)
     report = VerificationReport()
     _check_simplicity(grid, modulus, report)
-    if also_mod_plus_one:
-        _check_simplicity(grid, modulus + 1, report)
     return report
 
 

@@ -6,6 +6,7 @@ Each one is kept here as an oracle or a test helper only.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from heffter.grid import HeffterGrid
 from heffter.gridio import GridParseError, grid_to_text
@@ -45,6 +46,43 @@ def grid_from_text(text: str) -> HeffterGrid:
                 raise GridParseError(f"bad entry {f!r}", line=i + 2, column=j + 1)
             entries[(i, j)] = int(f)
     return HeffterGrid(m, n, entries)
+
+
+def _require_square(grid: HeffterGrid) -> None:
+    if not grid.is_square:
+        raise ValueError("diagonals are defined for square grids only")
+
+
+def diagonal_entry(grid: HeffterGrid, d: int, kind: str, a: int) -> int:
+    """Entry of diagonal d on row/column a; 0 when the cell is empty.
+
+    Defined for square grids only: for row a the cell is (a, a-d),
+    for column a it is (a+d, a), with d in [0, n).
+    """
+    _require_square(grid)
+    n = grid.n
+    if not 0 <= d < n:
+        raise ValueError(f"diagonal label {d} out of range for order {n}")
+    cell = (a, (a - d) % n) if kind == "row" else ((a + d) % n, a)
+    return grid.entries.get(cell, 0)
+
+
+def nonempty_diagonals(grid: HeffterGrid) -> list[int]:
+    """The labels (i - j) mod n of the diagonals that hold a filled cell."""
+    _require_square(grid)
+    return sorted({(i - j) % grid.n for i, j in grid.entries})
+
+
+def diagonal_order(grid: HeffterGrid, kind: str, a: int) -> list[tuple[int, int]]:
+    """Filled cells of a line of a square grid by increasing diagonal label."""
+    _require_square(grid)
+    n = grid.n
+    return sorted(grid.line_cells(kind, a), key=lambda c: (c[0] - c[1]) % n)
+
+
+def diagonal_sums(grid: HeffterGrid, kind: str, a: int) -> list[int]:
+    """Exact prefix sums of a line's entries in diagonal order."""
+    return list(accumulate(grid.entries[c] for c in diagonal_order(grid, kind, a)))
 
 
 def failures(report: VerificationReport) -> list[Check]:

@@ -14,7 +14,7 @@ from heffter import merge
 from heffter.cli import main as cli_main
 from heffter.construct4p import build_h4p
 from heffter.decompose import line_system, orthogonality
-from heffter.grid import HeffterGrid, diagonal_order, natural_order, partial_sums
+from heffter.grid import HeffterGrid, partial_sums
 from heffter.gridio import grid_to_text
 from heffter.h3 import build_h3_base, relocate_h3
 from heffter.merge import build_h4p3
@@ -27,6 +27,7 @@ from heffter.verify import (
 )
 
 from oracle_tables import H17_12_3_COL_SUMS, H17_12_3_ROW_SUMS
+from reference import diagonal_entry, diagonal_sums, nonempty_diagonals
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,14 +71,12 @@ def test_criterion_1_golden_reproduction(name, argv, tmp_path, data_dir):
 
 def test_criterion_2_row_tables(h17_12_3):
     for a in range(17):
-        trace = partial_sums(h17_12_3, "row", a, diagonal_order(h17_12_3, "row", a), 511)
-        assert list(trace.sums) == H17_12_3_ROW_SUMS[a], f"row {a}"
+        assert diagonal_sums(h17_12_3, "row", a) == H17_12_3_ROW_SUMS[a], f"row {a}"
 
 
 def test_criterion_2_col_tables(h17_12_3):
     for a in range(17):
-        trace = partial_sums(h17_12_3, "col", a, diagonal_order(h17_12_3, "col", a), 511)
-        assert list(trace.sums) == H17_12_3_COL_SUMS[a], f"col {a}"
+        assert diagonal_sums(h17_12_3, "col", a) == H17_12_3_COL_SUMS[a], f"col {a}"
     assert H17_12_3_COL_SUMS[11][6] == -256
 
 
@@ -132,7 +131,8 @@ def assert_globally_simple_both_moduli(grid, k):
     M = 2 * grid.n * k + 1
     assert verify_heffter(grid, k, k).overall
     assert verify_integer(grid).overall
-    report = verify_globally_simple(grid, M, also_mod_plus_one=True)
+    report = verify_globally_simple(grid, M)
+    report.extend(verify_globally_simple(grid, M + 1))
     assert [c.name for c in report.checks] == [f"natural-simple-mod-{M}",
                                                f"natural-simple-mod-{M + 1}"]
     assert report.overall
@@ -226,10 +226,10 @@ def test_criterion_8_h3_builder(n):
     g = h3_base(n)
     assert verify_heffter(g, 3, 3).overall
     assert verify_integer(g).overall
-    assert g.nonempty_diagonals() == [0, 1, n - 1]
-    d0 = [g.diagonal_entry(0, "row", a) for a in range(n)]
-    d1 = [g.diagonal_entry(1, "row", a) for a in range(n)]
-    dn1 = [g.diagonal_entry(n - 1, "row", a) for a in range(n)]
+    assert nonempty_diagonals(g) == [0, 1, n - 1]
+    d0 = [diagonal_entry(g, 0, "row", a) for a in range(n)]
+    d1 = [diagonal_entry(g, 1, "row", a) for a in range(n)]
+    dn1 = [diagonal_entry(g, n - 1, "row", a) for a in range(n)]
     assert {abs(v) for v in d0} == set(range(1, n + 1))
     assert all(v > 0 for v in dn1) and all(v < 0 for v in d1)
     assert set(dn1) | {-v for v in d1} == set(range(n + 1, 3 * n + 1))
@@ -238,12 +238,18 @@ def test_criterion_8_h3_builder(n):
 def test_criterion_8_figure_pair(h9_3_base, h9_3_beta1):
     assert verify_heffter(h9_3_base, 3, 3).overall
     assert verify_integer(h9_3_base).overall
-    assert h9_3_base.nonempty_diagonals() == [0, 1, 8]
+    assert nonempty_diagonals(h9_3_base) == [0, 1, 8]
     moved = relocate_h3(h9_3_base, beta=1, eps=2)
     assert grid_to_text(moved) == grid_to_text(h9_3_beta1)
 
 
 # -- criterion 9: randomized property suite ------------------------------
+
+
+def simple(values, modulus):
+    """Whether the one-row grid of ``values`` has distinct partial sums mod ``modulus``."""
+    grid = HeffterGrid(1, len(values), {(0, j): v for j, v in enumerate(values)})
+    return partial_sums(grid, "row", 0, modulus).collision is None
 
 
 def test_criterion_9_rotation_reversal_invariance():
@@ -256,12 +262,10 @@ def test_criterion_9_rotation_reversal_invariance():
                 values.append(-sum(values))
                 break
         modulus = rng.randint(3, 700)
-        grid = HeffterGrid(1, size, {(0, j): v for j, v in enumerate(values)})
-        cells = natural_order(grid, "row", 0)
-        verdict = partial_sums(grid, "row", 0, cells, modulus).collision is None
+        verdict = simple(values, modulus)
         r = rng.randrange(size)
-        rotated = partial_sums(grid, "row", 0, cells[r:] + cells[:r], modulus).collision is None
-        reversed_ = partial_sums(grid, "row", 0, list(reversed(cells)), modulus).collision is None
+        rotated = simple(values[r:] + values[:r], modulus)
+        reversed_ = simple(values[::-1], modulus)
         assert rotated == verdict
         assert reversed_ == verdict
 
@@ -286,12 +290,13 @@ def test_criterion_9_perturbation_sensitivity(h17_12):
 
 def test_criterion_9_mod_plus_one_distinctness():
     for n, p in SWEEP_4P:
-        assert verify_globally_simple(h4p(n, p), 8 * n * p + 1,
-                                      also_mod_plus_one=True).overall, (n, p)
+        M = 8 * n * p + 1
+        assert verify_globally_simple(h4p(n, p), M).overall, (n, p)
+        assert verify_globally_simple(h4p(n, p), M + 1).overall, (n, p)
     for n, p in SWEEP_4P3:
         grid, params = h4p3(n, p)
-        assert verify_globally_simple(grid, params.modulus,
-                                      also_mod_plus_one=True).overall, (n, p)
+        assert verify_globally_simple(grid, params.modulus).overall, (n, p)
+        assert verify_globally_simple(grid, params.modulus + 1).overall, (n, p)
 
 
 # -- criterion 10: rectangular array -------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -148,11 +149,11 @@ def test_verify_json(capsys, data_dir):
     assert payload["overall"] and payload["checks"]
 
 
-def test_partial_sums_diagonal_order(capsys, data_dir):
-    code, out, _ = run(capsys, "partial-sums", str(data_dir / "h17_12_3.txt"),
-                       "--lines", "rows", "--order", "diagonal", "--modulus", "511")
-    assert code == 0
-    assert out.splitlines()[0] == "row 0: 85 1 150 2 215 3 -250 -82 -251 -147 -252 0"
+def test_partial_sums_has_no_order_option(capsys, data_dir):
+    code, out, err = run(capsys, "partial-sums", str(data_dir / "h17_12_3.txt"),
+                         "--lines", "rows", "--order", "diagonal", "--modulus", "511")
+    assert (code, out) == (2, "")
+    assert err.endswith("heffter: error: unrecognized arguments: --order diagonal\n")
 
 
 def test_partial_sums_collision_reported(tmp_path, capsys):
@@ -347,7 +348,7 @@ NO_DEFAULT_MODULUS = [
      "--rows-out", "{tmp}/r.txt", "--cols-out", "{tmp}/c.txt"),
     ("decompose", "{data}/h17_12.txt", "--modulus", "-409",
      "--rows-out", "{tmp}/r.txt", "--cols-out", "{tmp}/c.txt"),
-    ("partial-sums", "{data}/h6_12_8_4.txt", "--order", "diagonal", "--modulus", "97"),
+    ("partial-sums", "{data}/h6_12_8_4.txt", "--order", "natural", "--modulus", "97"),
     ("construct", "--family", "h3", "--n", "8", "--p", "3"),
     ("verify", "{data}/h17_12_3.txt", "--level", "support-shifted", "--p", "3", "--gamma", "-1"),
     ("verify", "{data}/h17_12.txt", "--s", "-3", "--t", "-3"),
@@ -358,7 +359,7 @@ NO_DEFAULT_MODULUS = [
     *NO_DEFAULT_MODULUS,
 ], ids=["construct-out", "decompose-rows-out", "decompose-cols-out", "orthogonality-missing",
         "verify-mod-0", "verify-mod-neg", "partial-sums-mod-0", "partial-sums-mod-neg",
-        "decompose-mod-0", "decompose-mod-neg", "partial-sums-diagonal-non-square",
+        "decompose-mod-0", "decompose-mod-neg", "partial-sums-order-removed",
         "construct-h3-p", "verify-gamma-neg", "verify-s-t", "verify-heffter-p-gamma",
         "verify-integer-gamma", "compatibility-removed", "decompose-same-out",
         "partial-sums-no-default-modulus", "decompose-no-default-modulus",
@@ -385,7 +386,7 @@ def test_failed_decompose_keeps_an_earlier_rows_file(tmp_path, capsys, data_dir)
 @pytest.mark.parametrize("rows_name,cols_name", [("a.new", "a"), ("b", "b.new")])
 def test_decompose_outputs_named_like_a_staging_file(tmp_path, capsys, data_dir, h17_12_cycles,
                                                      rows_name, cols_name):
-    # one output's name is the other's plus ".new"; neither may be staged over the other
+    # one output's name extends the other's; staging either must not touch the other
     rows, cols = tmp_path / rows_name, tmp_path / cols_name
     code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
                          "--rows-out", str(rows), "--cols-out", str(cols))
@@ -403,7 +404,7 @@ def test_decompose_into_a_directory_names_it(tmp_path, capsys, data_dir):
                          "--rows-out", str(tmp_path / "r.txt"), "--cols-out", str(cols))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(cols)!r}\n"
-    assert not list(tmp_path.glob("*.new*"))
+    assert [p.name for p in tmp_path.iterdir()] == ["c"] and not any(cols.iterdir())
 
 
 @pytest.mark.parametrize("directory", ["rows", "cols"])
@@ -435,6 +436,55 @@ def test_decompose_without_room_exits_2_and_keeps_earlier_files(tmp_path, capsys
     assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert rows.read_bytes() == b"earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.cyc"]
+
+
+def test_decompose_stages_each_output_once(tmp_path, capsys, data_dir, h17_12_cycles,
+                                           monkeypatch):
+    staged, renames = [], []
+    mkstemp, replace = tempfile.mkstemp, os.replace
+
+    def recorded_mkstemp(*args, **kwargs):
+        fd, name = mkstemp(*args, **kwargs)
+        staged.append(name)
+        return fd, name
+
+    def recorded_replace(src, dst):
+        renames.append((src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(tempfile, "mkstemp", recorded_mkstemp)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    rows, cols = tmp_path / "r.cyc", tmp_path / "c.cyc"
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(rows), "--cols-out", str(cols))
+    assert (code, err) == (0, "") and out.count(", complete\n") == 2
+    assert len(staged) == 2 and {os.path.dirname(name) for name in staged} == {str(tmp_path)}
+    assert renames == list(zip(staged, [str(rows), str(cols)]))
+    assert rows.read_bytes() == h17_12_cycles[0].read_bytes()
+    assert cols.read_bytes() == h17_12_cycles[1].read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cyc", "r.cyc"]
+
+
+def test_failed_cols_write_keeps_both_earlier_files(tmp_path, capsys, data_dir, monkeypatch):
+    fallocate, calls = os.posix_fallocate, []
+
+    def full_at_cols(fd, offset, size):
+        calls.append(size)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fallocate(fd, offset, size)
+
+    monkeypatch.setattr(os, "posix_fallocate", full_at_cols)
+    rows, cols = tmp_path / "r.cyc", tmp_path / "c.cyc"
+    rows.write_bytes(b"earlier rows\n")
+    cols.write_bytes(b"earlier cols\n")
+    code, out, err = run(capsys, "decompose", str(data_dir / "h17_12.txt"),
+                         "--rows-out", str(rows), "--cols-out", str(cols))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert len(calls) == 2
+    assert rows.read_bytes() == b"earlier rows\n" and cols.read_bytes() == b"earlier cols\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cyc", "r.cyc"]
 
 
 def test_one_default_modulus_refusal(tmp_path, capsys, data_dir):

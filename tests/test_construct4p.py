@@ -3,7 +3,7 @@ import pytest
 from heffter.construct4p import build_h4p
 from heffter.gridio import grid_to_text
 from heffter.verify import verify_globally_simple, verify_heffter, verify_integer
-from reference import expected_diagonal_support
+from reference import diagonal_entry, expected_diagonal_support, nonempty_diagonals
 
 
 def test_reproduces_h17_12(h17_12):
@@ -30,7 +30,7 @@ def test_small_k_arrays_verify():
             assert verify_globally_simple(g).overall, (n, p)
             for d in range(4 * p):
                 _, expected = expected_diagonal_support(n, p, d)
-                actual = frozenset(abs(g.diagonal_entry(d, "row", a)) for a in range(n))
+                actual = frozenset(abs(diagonal_entry(g, d, "row", a)) for a in range(n))
                 assert actual == expected, (n, p, d)
 
 
@@ -41,14 +41,14 @@ def test_rejects_narrow_grid():
 
 def test_diagonal_structure():
     g = build_h4p(13, 3)
-    assert g.nonempty_diagonals() == list(range(12))
+    assert nonempty_diagonals(g) == list(range(12))
 
 
 def test_entries_constant_mod_k_per_diagonal():
     g = build_h4p(14, 3)
     k = 12
-    for d in g.nonempty_diagonals():
-        residues = {g.diagonal_entry(d, "row", a) % k for a in range(g.n)}
+    for d in nonempty_diagonals(g):
+        residues = {diagonal_entry(g, d, "row", a) % k for a in range(g.n)}
         assert len(residues) == 1
 
 
@@ -57,7 +57,7 @@ def test_expected_diagonal_support_matches_built_array():
         g = build_h4p(n, p)
         for d in range(4 * p):
             _, expected = expected_diagonal_support(n, p, d)
-            actual = frozenset(abs(g.diagonal_entry(d, "row", a)) for a in range(n))
+            actual = frozenset(abs(diagonal_entry(g, d, "row", a)) for a in range(n))
             assert actual == expected, (n, p, d)
 
 

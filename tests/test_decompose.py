@@ -27,6 +27,7 @@ from heffter.decompose import (
     orthogonality,
     read_system,
     write_system,
+    write_systems,
 )
 from heffter.grid import HeffterGrid
 from heffter.gridio import read_grid
@@ -413,6 +414,26 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     write_system(kept, develop([(0, 1, 3)], 7))
     assert kept.read_text(encoding="utf-8") == reference_text([(0, 1, 3)], 7)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+
+def test_a_failed_output_renames_no_other(tmp_path):
+    # every file is written before any is renamed, so the first output keeps
+    # its earlier file when the second fails
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("the previous file\n", encoding="utf-8")
+    with pytest.raises(OSError, match="disk full"):
+        write_systems([(first, develop([(0, 1, 3)], 7)),
+                       (second, FailingSystem(7, 3, [(0, 1, 3)], {}))])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt"]
+    assert first.read_text(encoding="utf-8") == "the previous file\n"
+
+
+def test_an_error_names_the_output_not_its_staging_file(tmp_path):
+    path = tmp_path / "absent" / "c.txt"
+    with pytest.raises(FileNotFoundError) as caught:
+        write_system(path, develop([(0, 1, 3)], 7))
+    assert caught.value.filename == path
+    assert not any(tmp_path.iterdir())
 
 
 def spread_bases(M, k, count):

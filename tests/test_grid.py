@@ -1,7 +1,9 @@
 import pytest
 
 from heffter import read_grid
-from heffter.grid import HeffterGrid, diagonal_order, natural_order, partial_sums
+from heffter.grid import HeffterGrid, partial_sums
+
+from reference import diagonal_entry, diagonal_order, nonempty_diagonals
 
 
 def small_grid():
@@ -53,7 +55,7 @@ def test_negative_line_index_is_rejected(kind):
     with pytest.raises(ValueError):
         g.line_sum(kind, -1)
     with pytest.raises(ValueError):
-        partial_sums(g, kind, -1, [], 7)
+        partial_sums(g, kind, -1, 7)
 
 
 def test_equal_entries_compare_equal():
@@ -82,33 +84,33 @@ def test_diagonal_cells_cover_grid():
     cells = [((i + d) % n, i) for d in range(n) for i in range(n)]
     assert len(set(cells)) == n * n
     g = HeffterGrid(n, n, {cell: i + 1 for i, cell in enumerate(cells)})
-    assert all(g.diagonal_entry(2, "col", i) == g.entries.get(((i + 2) % n, i)) for i in range(n))
+    assert all(diagonal_entry(g, 2, "col", i) == g.entries.get(((i + 2) % n, i)) for i in range(n))
     with pytest.raises(ValueError):
-        g.diagonal_entry(n, "col", 0)
+        diagonal_entry(g, n, "col", 0)
 
 
 def test_nonempty_diagonals():
     g = small_grid()
     # cells (0,0),(1,1),(2,2) are D_0; (0,1),(1,2) are D_2; (2,0) is D_2 too
-    assert g.nonempty_diagonals() == [0, 2]
+    assert nonempty_diagonals(g) == [0, 2]
 
 
 def test_diagonal_entry():
     g = small_grid()
-    assert g.diagonal_entry(0, "row", 1) == -3
-    assert g.diagonal_entry(2, "row", 0) == 2  # row 0, column (0-2)%3 = 1
-    assert g.diagonal_entry(2, "col", 0) == -5
+    assert diagonal_entry(g, 0, "row", 1) == -3
+    assert diagonal_entry(g, 2, "row", 0) == 2  # row 0, column (0-2)%3 = 1
+    assert diagonal_entry(g, 2, "col", 0) == -5
 
 
 def test_diagonal_requires_square():
     g = HeffterGrid(2, 3, {(0, 0): 1})
     with pytest.raises(ValueError):
-        g.nonempty_diagonals()
+        nonempty_diagonals(g)
 
 
 def test_natural_vs_diagonal_order():
     g = small_grid()
-    assert natural_order(g, "row", 0) == [(0, 0), (0, 1)]
+    assert g.line_cells("row", 0) == [(0, 0), (0, 1)]
     # diagonal order of row 0 visits columns 0, 2, 1 (labels d = 0, 1, 2)
     assert diagonal_order(g, "row", 0) == [(0, 0), (0, 1)]
     assert diagonal_order(g, "col", 0) == [(0, 0), (2, 0)]
@@ -135,22 +137,24 @@ def test_diagonal_order_matches_diagonal_scan(data_dir):
 
 def test_partial_sums_exact_and_residues():
     g = small_grid()
-    trace = partial_sums(g, "row", 1, natural_order(g, "row", 1), 7)
+    trace = partial_sums(g, "row", 1, 7)
     assert trace.sums == (-3, 1)
     assert trace.residues == (4, 1)
     assert tuple(r - 7 if r > 3 else r for r in trace.residues) == (-3, 1)
     assert trace.collision is None
 
 
-def test_partial_sums_rejects_wrong_ordering():
-    g = small_grid()
-    with pytest.raises(ValueError):
-        partial_sums(g, "row", 0, [(0, 0)], 7)
+def test_partial_sums_follow_the_natural_order():
+    # cells given right to left and bottom to top are still traced left to
+    # right and top to bottom
+    g = HeffterGrid(2, 3, {(1, 2): 4, (0, 2): 3, (0, 1): -1, (0, 0): -2, (1, 0): 2})
+    assert partial_sums(g, "row", 0, 10).sums == (-2, -3, 0)
+    assert partial_sums(g, "col", 2, 10).sums == (3, 7)
 
 
 def test_first_collision_is_smallest_pair():
     g = HeffterGrid(1, 4, {(0, 0): 5, (0, 1): 7, (0, 2): -7, (0, 3): 7})
-    trace = partial_sums(g, "row", 0, natural_order(g, "row", 0), 100)
+    trace = partial_sums(g, "row", 0, 100)
     assert trace.sums == (5, 12, 5, 12)
     assert trace.collision == (0, 2)
     assert trace.collision is not None and trace.collision == (0, 2)

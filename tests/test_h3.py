@@ -4,16 +4,18 @@ from heffter.gridio import grid_to_text
 from heffter.h3 import build_h3_base, cyclic_shift, relocate_h3
 from heffter.verify import verify_heffter, verify_integer
 
+from reference import diagonal_entry, nonempty_diagonals
+
 
 def check_base_structure(grid):
     """The three-diagonal shape: D_0 carries {1..n}, D_{n-1} positive, D_1 negative."""
     n = grid.n
     assert verify_heffter(grid, 3, 3).overall
     assert verify_integer(grid).overall
-    assert grid.nonempty_diagonals() == [0, 1, n - 1]
-    d0 = [grid.diagonal_entry(0, "row", a) for a in range(n)]
-    d1 = [grid.diagonal_entry(1, "row", a) for a in range(n)]
-    dn1 = [grid.diagonal_entry(n - 1, "row", a) for a in range(n)]
+    assert nonempty_diagonals(grid) == [0, 1, n - 1]
+    d0 = [diagonal_entry(grid, 0, "row", a) for a in range(n)]
+    d1 = [diagonal_entry(grid, 1, "row", a) for a in range(n)]
+    dn1 = [diagonal_entry(grid, n - 1, "row", a) for a in range(n)]
     assert {abs(v) for v in d0} == set(range(1, n + 1))
     assert all(v > 0 for v in dn1)
     assert all(v < 0 for v in d1)
@@ -71,7 +73,7 @@ def test_relocation_reproduces_figure(h9_3_base, h9_3_beta1):
 
 def test_relocation_moves_diagonals(h9_3_base):
     moved = relocate_h3(h9_3_base, beta=1, eps=2)
-    assert moved.nonempty_diagonals() == [1, 3, 5]
+    assert nonempty_diagonals(moved) == [1, 3, 5]
     assert verify_heffter(moved, 3, 3).overall
     assert verify_integer(moved).overall
 
@@ -88,7 +90,7 @@ def test_relocation_beta_range(h9_3_base):
 
 def test_cyclic_shift_preserves_diagonals(h9_3_base):
     shifted = cyclic_shift(h9_3_base, 4)
-    assert shifted.nonempty_diagonals() == h9_3_base.nonempty_diagonals()
+    assert nonempty_diagonals(shifted) == nonempty_diagonals(h9_3_base)
     assert verify_heffter(shifted, 3, 3).overall
     assert verify_integer(shifted).overall
 

@@ -68,7 +68,8 @@ def test_every_work_counter_reads_a_real_result(tmp_path, data_dir):
 
 def test_one_merge_calls_each_traced_merge_site_once(monkeypatch):
     # merge.full_verify_calls and h3.cyclic_shift.s count these calls; the
-    # overlay is never shifted, so h3.cyclic_shift.s stays at 0 samples
+    # overlay is checked for simplicity mod 2nk+1 and mod 2nk+2, one call
+    # each, and never shifted, so h3.cyclic_shift.s stays at 0 samples
     spans = _load_spans()
     attrs = [site.split(".")[-1] for names, _ in spans.PATCHES.values() for site in names
              if site.startswith("heffter.merge.")]
@@ -84,7 +85,7 @@ def test_one_merge_calls_each_traced_merge_site_once(monkeypatch):
     for attr in attrs:
         monkeypatch.setattr(merge, attr, counted(attr, getattr(merge, attr)))
     merge.build_h4p3(28, 3)
-    assert calls == {**dict.fromkeys(attrs, 1), "cyclic_shift": 0}
+    assert calls == {**dict.fromkeys(attrs, 1), "cyclic_shift": 0, "verify_globally_simple": 2}
 
 
 def _load_workloads():

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heffter.construct4p import build_h4p
-from heffter.grid import HeffterGrid, natural_order, partial_sums
+from heffter.grid import HeffterGrid, partial_sums
 from heffter.h3 import cyclic_shift
 from heffter.shifted import build_shifted, choose_alpha
 from heffter.verify import verify_heffter, verify_integer
+
+from reference import nonempty_diagonals
 
 
 def line_grid(values):
@@ -24,37 +26,31 @@ def zero_sum_lists(min_size=2, max_size=12):
 
 @given(zero_sum_lists(), st.integers(3, 600), st.data())
 def test_rotation_shifts_residues_by_constant(values, modulus, data):
-    grid = line_grid(values)
-    cells = natural_order(grid, "row", 0)
-    r = data.draw(st.integers(0, len(cells) - 1))
-    rotated = cells[r:] + cells[:r]
-    base = partial_sums(grid, "row", 0, cells, modulus)
-    rot = partial_sums(grid, "row", 0, rotated, modulus)
+    r = data.draw(st.integers(0, len(values) - 1))
+    base = partial_sums(line_grid(values), "row", 0, modulus)
+    rot = partial_sums(line_grid(values[r:] + values[:r]), "row", 0, modulus)
     # zero total makes the rotated residues a constant shift of the originals
-    shift = (rot.residues[0] - base.residues[r % len(cells)]) % modulus
-    expected = tuple((base.residues[(r + i) % len(cells)] + shift) % modulus
-                     for i in range(len(cells)))
+    shift = (rot.residues[0] - base.residues[r % len(values)]) % modulus
+    expected = tuple((base.residues[(r + i) % len(values)] + shift) % modulus
+                     for i in range(len(values)))
     assert rot.residues == expected
     assert (base.collision is None) == (rot.collision is None)
 
 
 @given(zero_sum_lists(), st.integers(3, 600))
 def test_reversal_preserves_simplicity(values, modulus):
-    grid = line_grid(values)
-    cells = natural_order(grid, "row", 0)
-    forward = partial_sums(grid, "row", 0, cells, modulus).collision is None
-    backward = partial_sums(grid, "row", 0, list(reversed(cells)), modulus).collision is None
+    forward = partial_sums(line_grid(values), "row", 0, modulus).collision is None
+    backward = partial_sums(line_grid(values[::-1]), "row", 0, modulus).collision is None
     assert forward == backward
 
 
 @given(st.lists(st.integers(-50, 50).filter(bool), min_size=1, max_size=12),
        st.integers(1, 40), st.data())
 def test_trace_residues_and_least_collision(values, modulus, data):
-    grid = line_grid(values)
-    cells = data.draw(st.permutations(natural_order(grid, "row", 0)))
-    trace = partial_sums(grid, "row", 0, cells, modulus)
+    values = data.draw(st.permutations(values))
+    trace = partial_sums(line_grid(values), "row", 0, modulus)
     assert trace.residues == tuple(s % modulus for s in trace.sums)
-    pairs = [(i, j) for j in range(len(cells)) for i in range(j)
+    pairs = [(i, j) for j in range(len(values)) for i in range(j)
              if trace.residues[i] == trace.residues[j]]
     assert trace.collision == min(pairs, default=None)
 
@@ -75,7 +71,7 @@ def test_shifted_diagonal_partition(p, gamma, extra):
     alpha = choose_alpha(n, p)
     g = build_shifted(n, p, gamma, alpha)
     # the filled diagonals partition the filled cells into n-cell classes
-    diags = g.nonempty_diagonals()
+    diags = nonempty_diagonals(g)
     assert len(diags) == 4 * p
     assert len(g.entries) == 4 * p * n
     for d in diags:

@@ -6,6 +6,8 @@ from heffter.gridio import grid_to_text
 from heffter.shifted import build_shifted, choose_alpha
 from heffter.verify import verify_support_shifted
 
+from reference import nonempty_diagonals
+
 
 def test_reproduces_h17_12_3(h17_12_3):
     assert grid_to_text(build_shifted(17, 3, 3, 6)) == grid_to_text(h17_12_3)
@@ -31,7 +33,7 @@ def test_alpha_coprimality_enforced():
 def test_diagonal_structure():
     n, p, alpha = 17, 3, 6
     g = build_shifted(n, p, 3, alpha)
-    assert g.nonempty_diagonals() == sorted(set(range(4 * p - 1)) | {2 * p + alpha})
+    assert nonempty_diagonals(g) == sorted(set(range(4 * p - 1)) | {2 * p + alpha})
 
 
 def test_support_is_shifted_window():

@@ -1,6 +1,6 @@
 import pytest
 
-from heffter.grid import HeffterGrid, diagonal_order, partial_sums
+from heffter.grid import HeffterGrid
 from heffter.verify import (
     VerificationReport,
     verify_globally_simple,
@@ -8,7 +8,7 @@ from heffter.verify import (
     verify_integer,
     verify_support_shifted,
 )
-from reference import failures
+from reference import diagonal_sums, failures
 
 
 def test_report_text_format(h17_12):
@@ -83,7 +83,8 @@ def test_globally_simple_collision_certificate():
 
 
 def test_mod_plus_one_flag(h17_12):
-    report = verify_globally_simple(h17_12, 409, also_mod_plus_one=True)
+    report = verify_globally_simple(h17_12, 409)
+    report.extend(verify_globally_simple(h17_12, 410))
     names = [c.name for c in report.checks]
     assert "natural-simple-mod-409" in names and "natural-simple-mod-410" in names
     assert report.overall
@@ -105,8 +106,10 @@ def test_support_shifted_wrong_gamma_fails(h17_12_3):
 def test_diagonal_simplicity_matches_natural(h17_12_3):
     # diagonal order is a cyclic reversal of the natural order on these
     # arrays, so the two verdicts must agree
-    assert all(partial_sums(h17_12_3, kind, a, diagonal_order(h17_12_3, kind, a), 511).collision is None
-               for kind in ("row", "col") for a in range(h17_12_3.n))
+    for kind in ("row", "col"):
+        for a in range(h17_12_3.n):
+            residues = [s % 511 for s in diagonal_sums(h17_12_3, kind, a)]
+            assert len(set(residues)) == len(residues), (kind, a)
     assert verify_globally_simple(h17_12_3, 511).overall
 
 
